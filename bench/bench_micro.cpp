@@ -36,6 +36,7 @@
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "exp/bench_harness.hpp"
+#include "exp/parallel.hpp"
 #include "exp/result_store.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/batch.hpp"
@@ -413,6 +414,31 @@ void BM_TraceGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100'000);
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
+
+// One E22 fleet session per iteration: construct a default_mix(50k)
+// ScenarioStream and drain it, cycling through the first eight sessions of
+// seed 42. Unlike BM_TraceGeneration this pays per-session setup (every app
+// source, kernel model and Zipf sampler) on every iteration, which is where
+// a fleet sweep spends most of its generation time.
+void BM_FleetSessionGeneration(benchmark::State& state) {
+  const PopulationModel mix = PopulationModel::default_mix(50'000);
+  std::vector<ScenarioConfig> sessions;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    sessions.push_back(sample_session(mix, sweep_point_seed(42, i)));
+  }
+  std::size_t next = 0;
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    ScenarioStream stream(sessions[next++ % sessions.size()]);
+    for (auto chunk = stream.next_chunk(); !chunk.empty();
+         chunk = stream.next_chunk()) {
+      benchmark::DoNotOptimize(chunk.data());
+      records += static_cast<std::int64_t>(chunk.size());
+    }
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_FleetSessionGeneration)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   const Trace trace = generate_app_trace(AppId::Launcher, 200'000, 42);

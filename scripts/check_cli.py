@@ -4,7 +4,8 @@
 Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
 silently ignored `--metrics=` (a truncated shell variable, usually) is how
-results end up in the wrong place without anyone noticing. Also smokes the
+results end up in the wrong place without anyone noticing. An unknown scheme
+must be rejected the same way, with the valid names listed. Also smokes the
 daemon's usage error paths and a `--once` run on an empty service dir.
 
 Usage:
@@ -42,6 +43,11 @@ DAEMON_EQ_FLAGS = [
     "--epoch-ms",
     "--idle-exit-ms",
 ]
+
+
+# parse_scheme_kind's vocabulary (core/scheme), which every "unknown scheme"
+# diagnostic must list.
+SCHEME_NAMES = "base shrunk sharedstt drowsy victim sp spmrstt dp dpstt"
 
 
 def run(cmd):
@@ -90,6 +96,14 @@ def main():
     check(
         "simrun usage without args",
         p.returncode == 2 and "usage:" in p.stderr,
+        f"rc={p.returncode} stderr={p.stderr.strip()!r}",
+    )
+    p = run([args.simrun, "launcher", "warp", "1000"])
+    check(
+        "simrun unknown scheme lists the vocabulary",
+        p.returncode == 2
+        and "unknown scheme 'warp'" in p.stderr
+        and SCHEME_NAMES in p.stderr,
         f"rc={p.returncode} stderr={p.stderr.strip()!r}",
     )
     p = run([args.simrun, "nofile.mctz", "--frobnicate"])

@@ -1,7 +1,12 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 namespace mobcache {
 namespace {
@@ -14,10 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -26,18 +27,6 @@ Rng::Rng(std::uint64_t seed) {
   // A fully-zero state would be absorbing; splitmix64 never yields four
   // zeros from distinct steps, but keep the guarantee explicit.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {
@@ -59,10 +48,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
 
 std::uint64_t Rng::range(std::uint64_t lo, std::uint64_t hi) {
   return lo + below(hi - lo + 1);
-}
-
-double Rng::uniform() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::chance(double p) {
@@ -94,21 +79,61 @@ std::size_t Rng::weighted(const std::vector<double>& weights) {
   return weights.empty() ? 0 : weights.size() - 1;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
-  cdf_.resize(n == 0 ? 1 : n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < cdf_.size(); ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-    cdf_[i] = sum;
+struct ZipfSampler::Table {
+  std::vector<double> cdf;
+  /// guide[j] = lower_bound(cdf, j / slots) for j in [0, slots]; item
+  /// indices fit 32 bits (a 2^32-item CDF would take 32 GB).
+  std::vector<std::uint32_t> guide;
+  double slots = 1.0;  ///< a power of two, so u * slots and j / slots are exact
+
+  Table(std::size_t n, double alpha) : cdf(n) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+      cdf[i] = sum;
+    }
+    for (double& c : cdf) c /= sum;
+
+    // About one guide slot per kGuideItemsPerSlot items: the tail, where the
+    // CDF is flattest, then holds only a handful of items per slot.
+    constexpr std::size_t kGuideItemsPerSlot = 4;
+    const std::size_t k = std::bit_ceil((n + kGuideItemsPerSlot - 1) /
+                                        kGuideItemsPerSlot);
+    slots = static_cast<double>(k);
+    guide.resize(k + 1);
+    std::size_t idx = 0;
+    for (std::size_t j = 0; j <= k; ++j) {
+      const double edge = static_cast<double>(j) / slots;
+      while (idx < n && cdf[idx] < edge) ++idx;
+      guide[j] = static_cast<std::uint32_t>(idx);
+    }
   }
-  for (double& c : cdf_) c /= sum;
+};
+
+ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
+  if (n == 0) n = 1;
+  using Key = std::pair<std::size_t, std::uint64_t>;
+  static std::mutex mu;
+  // Leaked on purpose: samplers held by static objects stay valid at exit.
+  static auto* memo = new std::map<Key, std::unique_ptr<const Table>>;
+
+  const Key key{n, std::bit_cast<std::uint64_t>(alpha)};
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = (*memo)[key];
+  if (!slot) slot = std::make_unique<const Table>(n, alpha);
+  table_ = slot.get();
 }
+
+std::size_t ZipfSampler::size() const { return table_->cdf.size(); }
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
   const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return it == cdf_.end() ? cdf_.size() - 1
-                          : static_cast<std::size_t>(it - cdf_.begin());
+  const auto j = static_cast<std::size_t>(u * table_->slots);
+  const double* cdf = table_->cdf.data();
+  const double* it = std::lower_bound(cdf + table_->guide[j],
+                                      cdf + table_->guide[j + 1], u);
+  const auto i = static_cast<std::size_t>(it - cdf);
+  return i == table_->cdf.size() ? i - 1 : i;
 }
 
 }  // namespace mobcache

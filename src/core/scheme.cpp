@@ -1,5 +1,7 @@
 #include "core/scheme.hpp"
 
+#include <array>
+
 namespace mobcache {
 
 const char* scheme_name(SchemeKind k) {
@@ -17,17 +19,44 @@ const char* scheme_name(SchemeKind k) {
   return "?";
 }
 
+namespace {
+
+struct SchemeToken {
+  std::string_view name;
+  SchemeKind kind;
+};
+
+constexpr std::array<SchemeToken, 9> kSchemeTokens = {{
+    {"base", SchemeKind::BaselineSram},
+    {"shrunk", SchemeKind::ShrunkSram},
+    {"sharedstt", SchemeKind::SharedStt},
+    {"drowsy", SchemeKind::DrowsySram},
+    {"victim", SchemeKind::VictimSram},
+    {"sp", SchemeKind::StaticPartSram},
+    {"spmrstt", SchemeKind::StaticPartMrstt},
+    {"dp", SchemeKind::DynamicSram},
+    {"dpstt", SchemeKind::DynamicStt},
+}};
+
+}  // namespace
+
 std::optional<SchemeKind> parse_scheme_kind(std::string_view s) {
-  if (s == "base") return SchemeKind::BaselineSram;
-  if (s == "shrunk") return SchemeKind::ShrunkSram;
-  if (s == "sharedstt") return SchemeKind::SharedStt;
-  if (s == "drowsy") return SchemeKind::DrowsySram;
-  if (s == "victim") return SchemeKind::VictimSram;
-  if (s == "sp") return SchemeKind::StaticPartSram;
-  if (s == "spmrstt") return SchemeKind::StaticPartMrstt;
-  if (s == "dp") return SchemeKind::DynamicSram;
-  if (s == "dpstt") return SchemeKind::DynamicStt;
+  for (const SchemeToken& t : kSchemeTokens) {
+    if (s == t.name) return t.kind;
+  }
   return std::nullopt;
+}
+
+const std::string& scheme_kind_names() {
+  static const std::string names = [] {
+    std::string out;
+    for (const SchemeToken& t : kSchemeTokens) {
+      if (!out.empty()) out += ' ';
+      out += t.name;
+    }
+    return out;
+  }();
+  return names;
 }
 
 namespace {

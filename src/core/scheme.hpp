@@ -92,4 +92,8 @@ std::vector<SchemeKind> headline_schemes();
 /// for anything else (including "all", which is a selection, not a kind).
 std::optional<SchemeKind> parse_scheme_kind(std::string_view s);
 
+/// The same vocabulary as one space-separated string, in the order above,
+/// for "unknown scheme" diagnostics.
+const std::string& scheme_kind_names();
+
 }  // namespace mobcache

@@ -96,7 +96,8 @@ ParsedRequestLine parse_request_line(const std::string& line) {
       rq.schemes = {SchemeKind::BaselineSram};
       if (*k != SchemeKind::BaselineSram) rq.schemes.push_back(*k);
     } else {
-      out.error = "unknown scheme '" + scheme + "'";
+      out.error = "unknown scheme '" + scheme + "' (expected all or one of: " +
+                  scheme_kind_names() + ")";
       return out;
     }
     std::string apps;
@@ -116,7 +117,8 @@ ParsedRequestLine parse_request_line(const std::string& line) {
     if (const auto k = parse_scheme_kind(scheme)) {
       rq.fleet_scheme = *k;
     } else {
-      out.error = "unknown scheme '" + scheme + "'";
+      out.error = "unknown scheme '" + scheme + "' (expected one of: " +
+                  scheme_kind_names() + ")";
       return out;
     }
     if (rq.sessions == 0) {

@@ -30,6 +30,7 @@
 #include "exp/bench_harness.hpp"
 #include "exp/result_store.hpp"
 #include "exp/runner.hpp"
+#include "support/scoped_dir.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -337,17 +338,9 @@ TEST(RunnerBatch, FailFastPropagatesTheInjectedFault) {
 
 class BatchStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("mobcache_batch_") + info->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+  std::string dir() const { return tmp_.path().string(); }
 
-  std::string dir() const { return dir_.string(); }
-
-  fs::path dir_;
+  ScopedDir tmp_{"batch"};
 };
 
 TEST_F(BatchStoreTest, BatchedWarmRunServesPerPointColdRecords) {

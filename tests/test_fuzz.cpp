@@ -10,6 +10,7 @@
 
 #include "cache/bank_model.hpp"
 #include "common/rng.hpp"
+#include "support/scoped_dir.hpp"
 #include "trace/trace_compress.hpp"
 #include "trace/trace_io.hpp"
 #include "workload/scenario.hpp"
@@ -35,18 +36,14 @@ Trace random_trace(std::uint64_t seed, std::size_t n) {
 
 class FuzzRoundtrip : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "mobcache_fuzz";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  void SetUp() override { std::filesystem::create_directories(tmp_.path()); }
+  ScopedDir tmp_{"fuzz"};
 };
 
 TEST_P(FuzzRoundtrip, FlatAndCompressedAgreeOnRandomTraces) {
   const Trace t = random_trace(GetParam(), 5'000);
-  const std::string flat = (dir_ / "f.mct").string();
-  const std::string comp = (dir_ / "f.mctz").string();
+  const std::string flat = (tmp_.path() / "f.mct").string();
+  const std::string comp = (tmp_.path() / "f.mctz").string();
   ASSERT_TRUE(write_trace(t, flat));
   ASSERT_TRUE(write_trace_compressed(t, comp));
 
@@ -69,7 +66,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRoundtrip,
                          ::testing::Values(1, 7, 1234, 99999, 31337));
 
 TEST(FuzzCorruption, CompressedReaderNeverCrashesOnBitFlips) {
-  const auto dir = std::filesystem::temp_directory_path() / "mobcache_flip";
+  const ScopedDir tmp("flip");
+  const auto& dir = tmp.path();
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "t.mctz").string();
   const Trace t = random_trace(5, 2'000);
@@ -105,7 +103,6 @@ TEST(FuzzCorruption, CompressedReaderNeverCrashesOnBitFlips) {
   }
   // Most random corruptions must be caught (magic/varint/consistency).
   EXPECT_LT(loaded, 45);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FuzzBankModel, RandomScheduleInvariants) {

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "exp/parallel.hpp"
+#include "exp/result_store.hpp"
 #include "workload/generator.hpp"
+#include "workload/scenario.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -180,6 +184,48 @@ TEST(Generator, StoreFractionMatchesSpec) {
   }
   EXPECT_NEAR(static_cast<double>(writes) / static_cast<double>(data), 0.4,
               0.03);
+}
+
+// ---- absolute byte pins ---------------------------------------------------
+//
+// The tests above check behaviour; these pin the exact bytes. Every result
+// the repo reports is a function of these traces, so any change to the
+// generators or to Rng/ZipfSampler (even a "faster but equivalent" one) must
+// leave these digests unchanged.
+
+TEST(GeneratorGolden, AppTraceBytesArePinned) {
+  constexpr std::array<std::uint64_t, kAppCount> kGolden = {
+      0xc2d10dddd335f990ull,  // launcher
+      0x07de18776045090full,  // browser
+      0xab3c0a974305dde6ull,  // game
+      0x084b52e00f33eba1ull,  // video
+      0x06f389f062f14576ull,  // audio
+      0xb76bc3c8f4613dafull,  // email
+      0x8d049697d92bd791ull,  // maps
+      0x1f45aa3935e95cd9ull,  // social
+      0xccd0f185fb077fdeull,  // fft
+      0x718927399387a586ull,  // matmul
+      0xabfc88312a9310e5ull,  // camera
+      0xe26287f6eb638076ull,  // messenger
+  };
+  for (int i = 0; i < kAppCount; ++i) {
+    const auto id = static_cast<AppId>(i);
+    EXPECT_EQ(hash_trace(generate_app_trace(id, 50'000, 42)), kGolden[i])
+        << app_name(id);
+  }
+}
+
+TEST(GeneratorGolden, FleetSessionBytesArePinned) {
+  constexpr std::array<std::uint64_t, 8> kGolden = {
+      0xc2166866d736b714ull, 0x6e014461227c15ddull, 0x26077cbcba89a756ull,
+      0x341e427fd9c2773cull, 0xdea78cef5c251063ull, 0xb20663618f817f97ull,
+      0x4b5866477ed613ffull, 0xa2360d539c51ee9cull,
+  };
+  const PopulationModel mix = PopulationModel::default_mix(50'000);
+  for (std::size_t i = 0; i < kGolden.size(); ++i) {
+    ScenarioStream stream(sample_session(mix, sweep_point_seed(42, i)));
+    EXPECT_EQ(hash_trace(materialize(stream)), kGolden[i]) << "session " << i;
+  }
 }
 
 }  // namespace

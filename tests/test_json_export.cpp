@@ -7,6 +7,8 @@
 #include <cmath>
 #include <fstream>
 
+#include "support/scoped_dir.hpp"
+
 namespace mobcache {
 namespace {
 
@@ -111,16 +113,16 @@ TEST(Json, ExperimentRoundtripsThroughFile) {
   base.per_workload.resize(1);
   base.per_workload[0].workload = "app";
 
-  setenv("MOBCACHE_RESULTS_DIR", "/tmp/mobcache_json_test", 1);
+  const ScopedDir tmp("json");
+  setenv("MOBCACHE_RESULTS_DIR", tmp.path().c_str(), 1);
   ASSERT_TRUE(write_experiment_json("E0", {base}, "e0.json"));
-  std::ifstream f("/tmp/mobcache_json_test/e0.json");
+  std::ifstream f(tmp.path() / "e0.json");
   ASSERT_TRUE(f.good());
   std::string content((std::istreambuf_iterator<char>(f)),
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("\"experiment\":\"E0\""), std::string::npos);
   EXPECT_NE(content.find("\"norm_cache_energy\":1"), std::string::npos);
   unsetenv("MOBCACHE_RESULTS_DIR");
-  std::filesystem::remove_all("/tmp/mobcache_json_test");
 }
 
 }  // namespace

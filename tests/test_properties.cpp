@@ -17,6 +17,10 @@ namespace {
 
 struct CacheProp {
   ReplKind repl;
+  // Explicit, zeroed padding: gtest lists a parameter without a printer
+  // as a byte dump, so implicit padding would put uninitialised bytes
+  // into each test's listed name.
+  std::uint8_t pad[3] = {};
   std::uint32_t assoc;
   Cycle retention;  // 0 = infinite
 };
@@ -84,7 +88,11 @@ std::vector<CacheProp> cache_props() {
                      ReplKind::Plru, ReplKind::Srrip}) {
     for (std::uint32_t a : {2u, 4u, 8u, 16u}) {
       for (Cycle ret : {Cycle{0}, Cycle{5'000}}) {
-        v.push_back({r, a, ret});
+        CacheProp p;
+        p.repl = r;
+        p.assoc = a;
+        p.retention = ret;
+        v.push_back(p);
       }
     }
   }

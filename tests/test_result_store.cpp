@@ -14,6 +14,7 @@
 #include "energy/technology.hpp"
 #include "exp/parallel.hpp"
 #include "exp/runner.hpp"
+#include "support/scoped_dir.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -21,22 +22,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Per-test store directory; removed on teardown. gtest_discover_tests runs
-/// each TEST in its own process, so a name derived from the test name is
-/// collision-free even under ctest -j.
+/// Per-test store directory, removed with the fixture.
 class ResultStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("mobcache_store_") + info->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+  std::string dir() const { return tmp_.path().string(); }
 
-  std::string dir() const { return dir_.string(); }
-
-  fs::path dir_;
+  ScopedDir tmp_{"store"};
 };
 
 /// A SimResult exercising the awkward corners of the record format: doubles

@@ -4,7 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
+#include "workload/kernel_model.hpp"
 
 namespace mobcache {
 namespace {
@@ -152,6 +158,71 @@ TEST(Zipf, ZeroSizeDegradesToSingleton) {
   Rng rng(47);
   EXPECT_EQ(z.size(), 1u);
   EXPECT_EQ(z.sample(rng), 0u);
+}
+
+// A plain CDF built with the sampler's own arithmetic: the guide-table
+// sampler must return exactly its lower_bound index.
+std::size_t reference_sample(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1
+                         : static_cast<std::size_t>(it - cdf.begin());
+}
+
+std::vector<double> reference_cdf(std::size_t n, double alpha) {
+  std::vector<double> cdf(n == 0 ? 1 : n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < cdf.size(); ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    cdf[i] = sum;
+  }
+  for (double& c : cdf) c /= sum;
+  return cdf;
+}
+
+TEST(Zipf, GuideTableMatchesFullBinarySearch) {
+  for (const std::size_t n : {0, 1, 2, 3, 64, 192, 16384, 65536}) {
+    for (const double alpha : {0.5, 0.8, 0.9, 1.1, 2.0}) {
+      const ZipfSampler z(n, alpha);
+      const std::vector<double> cdf = reference_cdf(n, alpha);
+      ASSERT_EQ(z.size(), cdf.size());
+      Rng rng(n * 131 + static_cast<std::uint64_t>(alpha * 10));
+      Rng shadow = rng;  // replays the sampler's uniform() draws
+      for (int i = 0; i < 20'000; ++i) {
+        ASSERT_EQ(z.sample(rng), reference_sample(cdf, shadow.uniform()))
+            << "n=" << n << " alpha=" << alpha << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Zipf, ConcurrentConstructionDrawsIdenticalSequences) {
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::size_t>> zipf_draws(kThreads);
+  std::vector<std::vector<Addr>> kernel_addrs(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      // Start together, so the threads race on the shared tables' first
+      // construction.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      const ZipfSampler z(65536, 0.8);
+      KernelModel km(7);
+      Rng rng(99);
+      for (int i = 0; i < 5'000; ++i) zipf_draws[t].push_back(z.sample(rng));
+      std::vector<Access> out;
+      for (int s = 0; s < kKernelServiceCount; ++s) {
+        km.emit_episode(static_cast<KernelService>(s), 0, out, rng);
+      }
+      for (const Access& a : out) kernel_addrs[t].push_back(a.addr);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(zipf_draws[t], zipf_draws[0]) << "thread " << t;
+    EXPECT_EQ(kernel_addrs[t], kernel_addrs[0]) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "exp/result_store.hpp"
 #include "service/protocol.hpp"
 #include "sim/simulator.hpp"
+#include "support/scoped_dir.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -44,12 +45,6 @@ std::vector<std::string> lines_of(const std::string& bytes) {
     start = nl + 1;
   }
   return out;
-}
-
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir;
 }
 
 void submit(const MobcacheDaemon& daemon, const std::string& name,
@@ -84,9 +79,19 @@ TEST(ServiceProtocol, ParsesRequestsAndRejectsBadOnes) {
 
   EXPECT_FALSE(parse_request_line("not json").request.has_value());
   EXPECT_FALSE(parse_request_line("{}").request.has_value());
-  EXPECT_FALSE(
-      parse_request_line(R"({"id":"x","apps":"launcher","scheme":"warp"})")
-          .request.has_value());
+  // An unknown scheme is rejected with the whole vocabulary listed.
+  constexpr const char* kSchemeNames =
+      "base shrunk sharedstt drowsy victim sp spmrstt dp dpstt";
+  EXPECT_EQ(scheme_kind_names(), kSchemeNames);
+  const ParsedRequestLine bad_sim =
+      parse_request_line(R"({"id":"x","apps":"launcher","scheme":"warp"})");
+  EXPECT_FALSE(bad_sim.request.has_value());
+  EXPECT_NE(bad_sim.error.find("unknown scheme 'warp'"), std::string::npos);
+  EXPECT_NE(bad_sim.error.find(kSchemeNames), std::string::npos);
+  const ParsedRequestLine bad_fleet =
+      parse_request_line(R"({"id":"x","kind":"fleet","scheme":"all"})");
+  EXPECT_FALSE(bad_fleet.request.has_value());
+  EXPECT_NE(bad_fleet.error.find(kSchemeNames), std::string::npos);
   EXPECT_FALSE(
       parse_request_line(R"({"id":"x","apps":"notanapp"})").request.has_value());
   EXPECT_FALSE(parse_request_line(R"({"id":"x","kind":"batch"})")
@@ -99,7 +104,8 @@ TEST(ServiceProtocol, ParsesRequestsAndRejectsBadOnes) {
 }
 
 TEST(ServiceDaemon, GoldenResponseMatchesDirectSimulationAndMemoizes) {
-  const fs::path dir = fresh_dir("svc_golden");
+  const ScopedDir tmp("svc_golden");
+  const fs::path& dir = tmp.path();
   ServiceConfig cfg;
   cfg.dir = dir.string();
   cfg.store_dir = (dir / "store").string();
@@ -155,7 +161,8 @@ TEST(ServiceDaemon, GoldenResponseMatchesDirectSimulationAndMemoizes) {
 }
 
 TEST(ServiceDaemon, MalformedAndUnknownRequestsAreAnsweredAndQuarantined) {
-  const fs::path dir = fresh_dir("svc_poison");
+  const ScopedDir tmp("svc_poison");
+  const fs::path& dir = tmp.path();
   ServiceConfig cfg;
   cfg.dir = dir.string();
   cfg.once = true;
@@ -187,7 +194,8 @@ TEST(ServiceDaemon, MalformedAndUnknownRequestsAreAnsweredAndQuarantined) {
 }
 
 TEST(ServiceDaemon, TornRequestFileIsAnsweredAndQuarantined) {
-  const fs::path dir = fresh_dir("svc_torn");
+  const ScopedDir tmp("svc_torn");
+  const fs::path& dir = tmp.path();
   ServiceConfig cfg;
   cfg.dir = dir.string();
   cfg.once = true;
@@ -208,7 +216,8 @@ TEST(ServiceDaemon, TornRequestFileIsAnsweredAndQuarantined) {
 }
 
 TEST(ServiceDaemon, PreCancelledTokenLeavesInboxUntouched) {
-  const fs::path dir = fresh_dir("svc_precancel");
+  const ScopedDir tmp("svc_precancel");
+  const fs::path& dir = tmp.path();
   CancelToken token;
   token.request_cancel();
   ServiceConfig cfg;
@@ -231,7 +240,8 @@ TEST(ServiceDaemon, PreCancelledTokenLeavesInboxUntouched) {
 }
 
 TEST(ServiceDaemon, CancelDrainsWithExit75AndRestartServesWarmHits) {
-  const fs::path dir = fresh_dir("svc_drain");
+  const ScopedDir tmp("svc_drain");
+  const fs::path& dir = tmp.path();
   const std::string store_dir = (dir / "store").string();
   CancelToken token;
   ServiceConfig cfg;
@@ -285,7 +295,8 @@ TEST(ServiceDaemon, CancelDrainsWithExit75AndRestartServesWarmHits) {
 }
 
 TEST(ServiceDaemon, FleetRequestsReturnSessionSummaries) {
-  const fs::path dir = fresh_dir("svc_fleet");
+  const ScopedDir tmp("svc_fleet");
+  const fs::path& dir = tmp.path();
   ServiceConfig cfg;
   cfg.dir = dir.string();
   cfg.once = true;

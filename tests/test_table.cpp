@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/scoped_dir.hpp"
+
 namespace mobcache {
 namespace {
 
@@ -48,9 +50,8 @@ TEST(Table, CsvEscaping) {
 }
 
 TEST(Table, WriteCsvRoundtrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "mobcache_test";
-  const std::string path = (dir / "t.csv").string();
-  std::filesystem::remove_all(dir);
+  const ScopedDir tmp("table");
+  const std::string path = (tmp.path() / "t.csv").string();
 
   TablePrinter t({"h1", "h2"});
   t.add_row({"r1", "r2"});
@@ -63,7 +64,6 @@ TEST(Table, WriteCsvRoundtrip) {
   EXPECT_EQ(line, "h1,h2");
   std::getline(f, line);
   EXPECT_EQ(line, "r1,r2");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Format, Count) {

@@ -5,8 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include <unistd.h>
-
+#include "support/scoped_dir.hpp"
 #include "trace/trace_io.hpp"
 #include "workload/suite.hpp"
 
@@ -15,17 +14,9 @@ namespace {
 
 class TraceCompressTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Per-process dir: under `ctest -j` every test case is a separate
-    // process, and a shared fixed path would let one TearDown remove_all
-    // race another process's writes.
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mobcache_mctz_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string path(const char* n) const { return (dir_ / n).string(); }
-  std::filesystem::path dir_;
+  void SetUp() override { std::filesystem::create_directories(tmp_.path()); }
+  std::string path(const char* n) const { return (tmp_.path() / n).string(); }
+  ScopedDir tmp_{"mctz"};
 };
 
 TEST_F(TraceCompressTest, RoundtripIsExact) {

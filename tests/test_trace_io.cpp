@@ -5,26 +5,20 @@
 #include <filesystem>
 #include <fstream>
 
-#include <unistd.h>
+#include "support/scoped_dir.hpp"
 
 namespace mobcache {
 namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Per-process dir: under `ctest -j` every test case is a separate
-    // process, and a shared fixed path would let one TearDown remove_all
-    // race another process's writes.
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mobcache_trace_io_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+  void SetUp() override { std::filesystem::create_directories(tmp_.path()); }
+
+  std::string path(const char* name) const {
+    return (tmp_.path() / name).string();
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::string path(const char* name) const { return (dir_ / name).string(); }
-
-  std::filesystem::path dir_;
+  ScopedDir tmp_{"trace_io"};
 };
 
 Trace sample_trace() {

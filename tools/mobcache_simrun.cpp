@@ -396,10 +396,6 @@ static int tool_main(int argc, char** argv) {
   const std::uint64_t seed =
       pos.size() > 3 ? std::strtoull(pos[3].c_str(), nullptr, 10) : 1;
 
-  std::vector<Trace> traces;
-  for (const std::string& spec : split_commas(pos[0]))
-    traces.push_back(load_or_generate(spec, records, seed));
-
   std::vector<SchemeKind> kinds;
   if (pos.size() <= 1 || pos[1] == "all") {
     kinds = headline_schemes();
@@ -407,9 +403,14 @@ static int tool_main(int argc, char** argv) {
     kinds = {SchemeKind::BaselineSram};
     if (*k != SchemeKind::BaselineSram) kinds.push_back(*k);
   } else {
-    std::fprintf(stderr, "unknown scheme '%s'\n", pos[1].c_str());
+    std::fprintf(stderr, "unknown scheme '%s' (expected all or one of: %s)\n",
+                 pos[1].c_str(), scheme_kind_names().c_str());
     return 2;
   }
+
+  std::vector<Trace> traces;
+  for (const std::string& spec : split_commas(pos[0]))
+    traces.push_back(load_or_generate(spec, records, seed));
 
   const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
   if (store) store->set_retry_failed(flags.retry_failed);
