@@ -13,9 +13,9 @@
 ///    tolerance instead of exact equality.
 ///  * --sweep-report: a self-timed batched-vs-per-point sweep comparison
 ///    over a frozen 12-lane geometry grid (docs/SWEEP_ENGINE.md) that
-///    verifies byte-identical SimResults in-binary and writes the
-///    timing/sweep/* keys CI's sweep-gate enforces ≥5x points/s on
-///    (--min-sweep-speedup=X).
+///    verifies byte-identical SimResults in-binary and writes
+///    BENCH_micro_sweep.json, whose timing/sweep/* keys CI's sweep-gate
+///    enforces ≥5x points/s on (--min-sweep-speedup=X).
 /// The two report modes are mutually exclusive.
 
 #include <benchmark/benchmark.h>
@@ -415,6 +415,33 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
+// The result-store key's trace component. Arg(0): hash a fresh copy of a
+// 200k-record trace every iteration (the copy carries no memo because the
+// source was never fingerprinted) — what each memoized request paid before
+// the fingerprint was memoized on the Trace. Arg(1): read the memo of an
+// already-fingerprinted trace, which is what a warm TraceCache hit pays now.
+void BM_TraceFingerprint(benchmark::State& state) {
+  const Trace source = generate_app_trace(AppId::Browser, 200'000, 42);
+  const bool memoized = state.range(0) != 0;
+  if (memoized) benchmark::DoNotOptimize(source.fingerprint());
+  for (auto _ : state) {
+    if (memoized) {
+      benchmark::DoNotOptimize(source.fingerprint());
+    } else {
+      state.PauseTiming();
+      const Trace fresh = source;
+      state.ResumeTiming();
+      benchmark::DoNotOptimize(fresh.fingerprint());
+    }
+  }
+  if (!memoized) {
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(source.size()));
+  }
+  state.SetLabel(memoized ? "memo read" : "full hash");
+}
+BENCHMARK(BM_TraceFingerprint)->Arg(0)->Arg(1);
+
 // One E22 fleet session per iteration: construct a default_mix(50k)
 // ScenarioStream and drain it, cycling through the first eight sessions of
 // seed 42. Unlike BM_TraceGeneration this pays per-session setup (every app
@@ -709,7 +736,7 @@ std::unique_ptr<L2Interface> make_sweep_lane(const SweepLane& l) {
 /// build_demand_stream() + N-lane simulate_batch_lanes() replay — and
 /// verifies the two paths produce byte-identical SimResults (via the
 /// result-store record serialization, the same bytes the ExperimentRunner
-/// persists). Writes BENCH_micro.json with the grid's deterministic
+/// persists). Writes BENCH_micro_sweep.json with the grid's deterministic
 /// fingerprint under "results" (sweep/*, including the ShadowConfigBatch
 /// estimation error against the real lanes) and the points/s ratio under
 /// "timing/sweep/*". With --min-sweep-speedup=X, exits nonzero when the
@@ -728,7 +755,7 @@ int run_sweep_report(int argc, char** argv) {
       reps = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
   }
 
-  BenchReport report("micro", bench_jobs(argc, argv));
+  BenchReport report("micro_sweep", bench_jobs(argc, argv));
   const Trace trace = make_sweep_trace(accesses);
   const std::vector<SweepLane> grid = sweep_report_lanes();
   const std::size_t n = grid.size();

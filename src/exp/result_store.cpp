@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,43 +21,6 @@ namespace fs = std::filesystem;
 // ---------------------------------------------------------------------------
 // Content hashing
 // ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t h = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
-ContentHasher& ContentHasher::mix(std::uint64_t v) {
-  unsigned char bytes[8];
-  std::memcpy(bytes, &v, sizeof bytes);
-  h_ = fnv1a(bytes, sizeof bytes, h_);
-  return *this;
-}
-
-ContentHasher& ContentHasher::mix(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v, "binary64 expected");
-  std::memcpy(&bits, &v, sizeof bits);
-  return mix(bits);
-}
-
-ContentHasher& ContentHasher::mix(const std::string& s) {
-  // Length first, so ("ab","c") never collides with ("a","bc").
-  mix(static_cast<std::uint64_t>(s.size()));
-  h_ = fnv1a(s.data(), s.size(), h_);
-  return *this;
-}
 
 std::uint64_t hash_cache_config(const CacheConfig& c) {
   // `name` is cosmetic (it labels diagnostics) and deliberately excluded:
@@ -130,21 +92,7 @@ std::uint64_t hash_technology(const TechnologyConfig& t) {
       .digest();
 }
 
-std::uint64_t hash_trace(const Trace& t) {
-  // Field-wise, not raw bytes: Access carries 4 padding bytes whose content
-  // is unspecified. The fingerprint covers every record, so a trace loaded
-  // from disk and a regenerated one key identically iff they really agree.
-  ContentHasher h;
-  h.mix(t.name());
-  h.mix(static_cast<std::uint64_t>(t.size()));
-  for (const Access& a : t.accesses()) {
-    h.mix(a.addr);
-    h.mix(static_cast<std::uint64_t>(a.thread) |
-          (static_cast<std::uint64_t>(a.type) << 16) |
-          (static_cast<std::uint64_t>(a.mode) << 24));
-  }
-  return h.digest();
-}
+std::uint64_t hash_trace(const Trace& t) { return t.fingerprint(); }
 
 std::uint64_t result_point_key(std::uint64_t design_hash,
                                std::uint64_t trace_hash,
@@ -355,7 +303,7 @@ std::string render_record(std::uint64_t key, const std::string& payload) {
   out += ",\"key\":\"";
   out += key_hex(key);
   out += "\",\"payload_fnv\":\"";
-  out += key_hex(fnv1a(payload.data(), payload.size()));
+  out += key_hex(fnv1a64(payload.data(), payload.size()));
   out += "\"}\n";
   out += payload;
   out += '\n';
@@ -395,7 +343,7 @@ bool parse_record(const std::string& text, ParsedRecord& out) {
   if (end == nullptr || *end != '\0' || key_text.size() != 16) return false;
   const std::uint64_t want_fnv = std::strtoull(fnv_text.c_str(), &end, 16);
   if (end == nullptr || *end != '\0' || fnv_text.size() != 16) return false;
-  if (fnv1a(payload.data(), payload.size()) != want_fnv) return false;
+  if (fnv1a64(payload.data(), payload.size()) != want_fnv) return false;
 
   // Checksum passed — dispatch on payload flavour. Poison first: its marker
   // check is cheap and unambiguous.

@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/content_hash.hpp"
 #include "core/scheme.hpp"
 #include "exp/parallel.hpp"
 #include "sim/simulator.hpp"
@@ -47,25 +48,13 @@ namespace mobcache {
 /// simulation semantics behind them; stale records then miss by key.
 inline constexpr std::uint64_t kResultSchemaVersion = 1;
 
-/// Composable FNV-1a/64 accumulator used for all content keys. Field order
-/// is significant; every mix() site is part of the key contract.
-class ContentHasher {
- public:
-  ContentHasher& mix(std::uint64_t v);
-  ContentHasher& mix(double v);  ///< bit pattern, so -0.0 != 0.0
-  ContentHasher& mix(const std::string& s);
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 /// Normalized content hashes of the structures that determine a SimResult.
 std::uint64_t hash_cache_config(const CacheConfig& c);      ///< excludes name
 std::uint64_t hash_scheme_params(const SchemeParams& p);
 std::uint64_t hash_sim_options(const SimOptions& o);        ///< configs only
 std::uint64_t hash_technology(const TechnologyConfig& t);
-/// Content fingerprint of a trace (name, length, and every record).
+/// Content fingerprint of a trace (name, length, and every record) —
+/// Trace::fingerprint(), memoized on the trace.
 std::uint64_t hash_trace(const Trace& t);
 
 /// One sweep point's full identity. Everything the simulation reads is

@@ -88,14 +88,6 @@ struct SuiteCell {
 
 }  // namespace
 
-const std::vector<std::uint64_t>& ExperimentRunner::trace_hashes() const {
-  std::call_once(trace_hash_once_, [&] {
-    trace_hashes_.reserve(traces_.size());
-    for (const auto& t : traces_) trace_hashes_.push_back(hash_trace(*t));
-  });
-  return trace_hashes_;
-}
-
 bool ExperimentRunner::memoizable() const {
   // Telemetry sessions and eviction observers are side channels a cached
   // SimResult cannot replay — those runs always simulate.
@@ -109,8 +101,8 @@ std::vector<std::uint64_t> ExperimentRunner::cell_keys(
   const std::uint64_t tech = hash_technology(technology());
   std::vector<std::uint64_t> keys;
   keys.reserve(traces_.size());
-  for (std::uint64_t th : trace_hashes())
-    keys.push_back(result_point_key(design_hash, th, opts, tech));
+  for (const auto& t : traces_)
+    keys.push_back(result_point_key(design_hash, t->fingerprint(), opts, tech));
   return keys;
 }
 
@@ -520,8 +512,8 @@ std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
     keys.reserve(per_rate.size() * w_count);
     for (const SchemeParams& p : per_rate) {
       const std::uint64_t dh = scheme_design_hash(kind, p);
-      for (std::uint64_t th : runner.trace_hashes())
-        keys.push_back(result_point_key(dh, th, opts, tech));
+      for (const auto& t : traces)
+        keys.push_back(result_point_key(dh, t->fingerprint(), opts, tech));
     }
     cells = memoized_map(ex, runner.result_store, keys, cell_fn);
   } else {

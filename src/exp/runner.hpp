@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -163,11 +162,6 @@ class ExperimentRunner {
   const Trace& trace(std::size_t i) const { return *traces_[i]; }
   const std::vector<AppId>& apps() const { return apps_; }
 
-  /// Content fingerprints of the suite traces (aligned with traces()).
-  /// Computed once per runner, on first use — only memoized paths pay for
-  /// them. Thread-safe: run_* methods may race on the first call.
-  const std::vector<std::uint64_t>& trace_hashes() const;
-
   SimOptions sim_options;  ///< shared hierarchy/timing configuration
 
   /// Worker threads for this runner's (scheme × workload) cells. 1 = serial
@@ -214,8 +208,6 @@ class ExperimentRunner {
 
   std::vector<AppId> apps_;
   std::vector<std::shared_ptr<const Trace>> traces_;
-  mutable std::once_flag trace_hash_once_;
-  mutable std::vector<std::uint64_t> trace_hashes_;
 };
 
 /// One point of the error-rate × energy/CPI resilience sweep (bench E21):

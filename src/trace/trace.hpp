@@ -6,8 +6,10 @@
 /// trace file) and the simulated memory hierarchy. Records carry the
 /// privilege mode explicitly — the property the whole paper is built on.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -61,10 +63,16 @@ class Trace {
   explicit Trace(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
+  void set_name(std::string n) {
+    name_ = std::move(n);
+    fingerprint_.clear();
+  }
 
   void reserve(std::size_t n) { accesses_.reserve(n); }
-  void push(const Access& a) { accesses_.push_back(a); }
+  void push(const Access& a) {
+    accesses_.push_back(a);
+    fingerprint_.clear();
+  }
 
   /// Bulk append: adopts `batch` wholesale when the trace is empty (no copy
   /// at all), otherwise splices it onto the end in one reallocation-checked
@@ -77,11 +85,13 @@ class Trace {
       accesses_.insert(accesses_.end(), batch.begin(), batch.end());
     }
     batch.clear();
+    fingerprint_.clear();
   }
 
   /// Bulk append from a borrowed chunk (trace streaming / materialize()).
   void append(std::span<const Access> chunk) {
     accesses_.insert(accesses_.end(), chunk.begin(), chunk.end());
+    fingerprint_.clear();
   }
 
   const std::vector<Access>& accesses() const { return accesses_; }
@@ -97,9 +107,64 @@ class Trace {
   /// on load.
   bool modes_consistent_with_addresses() const;
 
+  /// FNV-1a/64 content fingerprint (name, length, then every record
+  /// field-wise) — the trace component of every result-store key. Computed
+  /// on first call and memoized until the next mutation, so a trace shared
+  /// through TraceCache is hashed at most once per process. Safe to call
+  /// concurrently on a const Trace: racing first calls each compute the
+  /// same value.
+  std::uint64_t fingerprint() const;
+
  private:
+  /// fingerprint()'s memo slot. Copies carry the memo; a move leaves the
+  /// source without one (its content is gone), so Trace keeps implicit
+  /// copy and move members.
+  class FingerprintMemo {
+   public:
+    FingerprintMemo() = default;
+    FingerprintMemo(const FingerprintMemo& o) { copy_from(o); }
+    FingerprintMemo(FingerprintMemo&& o) noexcept {
+      copy_from(o);
+      o.clear();
+    }
+    FingerprintMemo& operator=(const FingerprintMemo& o) {
+      copy_from(o);
+      return *this;
+    }
+    FingerprintMemo& operator=(FingerprintMemo&& o) noexcept {
+      copy_from(o);
+      o.clear();
+      return *this;
+    }
+
+    std::optional<std::uint64_t> get() const {
+      if (!valid_.load(std::memory_order_acquire)) return std::nullopt;
+      return value_.load(std::memory_order_relaxed);
+    }
+    void set(std::uint64_t v) const {
+      value_.store(v, std::memory_order_relaxed);
+      valid_.store(true, std::memory_order_release);
+    }
+    // Only mutators clear, and a mutator has the trace to itself, so no
+    // ordering is needed — and none is paid per push() of a trace load.
+    void clear() { valid_.store(false, std::memory_order_relaxed); }
+
+   private:
+    void copy_from(const FingerprintMemo& o) {
+      if (const auto v = o.get()) {
+        set(*v);
+      } else {
+        clear();
+      }
+    }
+
+    mutable std::atomic<std::uint64_t> value_{0};
+    mutable std::atomic<bool> valid_{false};
+  };
+
   std::string name_;
   std::vector<Access> accesses_;
+  FingerprintMemo fingerprint_;
 };
 
 }  // namespace mobcache
