@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/config_batch.hpp"
 #include "cache/set_assoc_cache.hpp"
-#include "cache/shadow_monitor.hpp"
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "exp/bench_harness.hpp"
@@ -395,12 +395,14 @@ KERNEL_BENCH(Mixed);
 KERNEL_BENCH(RetentionOn);
 #undef KERNEL_BENCH
 
+/// One-lane ShadowConfigBatch driven as the DP controller's utility
+/// monitor: the caller supplies the set index of the array it shadows.
 void BM_ShadowMonitor(benchmark::State& state) {
-  ShadowTagMonitor m(2048, 4, 16);
+  ShadowConfigBatch m({{2048, 16}}, /*sample_shift=*/4);
   Rng rng(7);
   for (auto _ : state) {
     const Addr line = rng.below(32'768) * kLineSize;
-    m.access(line, static_cast<std::uint32_t>((line / kLineSize) & 2047));
+    m.observe(line, static_cast<std::uint32_t>((line / kLineSize) & 2047));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -732,6 +734,10 @@ std::unique_ptr<L2Interface> make_sweep_lane(const SweepLane& l) {
   return build_scheme(SchemeKind::BaselineSram, p);
 }
 
+/// Largest |estimated − simulated| L2 miss rate the sweep report accepts
+/// from the shift-2 ShadowConfigBatch on any grid lane.
+constexpr double kMaxShadowAbsErr = 0.02;
+
 /// Times the frozen grid twice — N independent simulate() runs vs. one
 /// build_demand_stream() + N-lane simulate_batch_lanes() replay — and
 /// verifies the two paths produce byte-identical SimResults (via the
@@ -739,9 +745,11 @@ std::unique_ptr<L2Interface> make_sweep_lane(const SweepLane& l) {
 /// persists). Writes BENCH_micro_sweep.json with the grid's deterministic
 /// fingerprint under "results" (sweep/*, including the ShadowConfigBatch
 /// estimation error against the real lanes) and the points/s ratio under
-/// "timing/sweep/*". With --min-sweep-speedup=X, exits nonzero when the
-/// batched path's points/s advantage falls below X — CI's sweep-gate runs
-/// this at X = 5 (see .github/workflows/ci.yml for the escape hatch).
+/// "timing/sweep/*". Exits nonzero when any lane's shift-2 shadow estimate
+/// misses its simulated L2 miss rate by more than kMaxShadowAbsErr, and,
+/// with --min-sweep-speedup=X, when the batched path's points/s advantage
+/// falls below X — CI's sweep-gate runs this at X = 5 (see
+/// .github/workflows/ci.yml for the escape hatch).
 int run_sweep_report(int argc, char** argv) {
   double min_speedup = 0.0;
   std::uint64_t accesses = 400'000;
@@ -851,9 +859,13 @@ int run_sweep_report(int argc, char** argv) {
   const std::vector<double> est = estimate_demand_miss_rates(stream, shadow);
   double max_err = 0.0;
   double sum_err = 0.0;
+  std::size_t worst = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const double err = std::abs(est[i] - pp_results[i].l2.miss_rate());
-    max_err = std::max(max_err, err);
+    if (err > max_err) {
+      max_err = err;
+      worst = i;
+    }
     sum_err += err;
   }
 
@@ -885,6 +897,15 @@ int run_sweep_report(int argc, char** argv) {
               n, pp_pps, batch_pps, speedup, demand_ratio, max_err);
 
   bool gate_ok = true;
+  if (max_err > kMaxShadowAbsErr) {
+    std::fprintf(stderr,
+                 "[bench] FAIL sweep lane %zu (%llu KB %u-way): shadow "
+                 "estimate off by %.4f, above the %.2f bound\n",
+                 worst,
+                 static_cast<unsigned long long>(grid[worst].size_bytes >> 10),
+                 grid[worst].assoc, max_err, kMaxShadowAbsErr);
+    gate_ok = false;
+  }
   if (min_speedup > 0.0 && speedup < min_speedup) {
     std::fprintf(stderr,
                  "[bench] FAIL sweep: batched speedup %.2fx below required "

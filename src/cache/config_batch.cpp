@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace mobcache {
 
@@ -16,21 +17,33 @@ constexpr Addr kEmptyTag = ~Addr{0};
 ShadowConfigBatch::ShadowConfigBatch(std::vector<ShadowGeometry> geometries,
                                      std::uint32_t sample_shift)
     : geoms_(std::move(geometries)), sample_shift_(sample_shift) {
+  if (sample_shift >= 32) {
+    throw std::invalid_argument("ShadowConfigBatch: sample_shift " +
+                                std::to_string(sample_shift) +
+                                " must be below 32");
+  }
+  sample_mask_ = (1u << sample_shift) - 1u;
   meta_.reserve(geoms_.size());
   std::size_t tag_total = 0;
   std::size_t depth_total = 0;
   for (const ShadowGeometry& g : geoms_) {
-    if (g.num_sets == 0 || g.assoc == 0) {
+    if (g.num_sets == 0 || g.assoc == 0 ||
+        (g.num_sets & (g.num_sets - 1)) != 0) {
       throw std::invalid_argument(
-          "ShadowConfigBatch: geometry needs num_sets > 0 and assoc > 0");
+          "ShadowConfigBatch: geometry " + std::to_string(g.num_sets) +
+          " sets x " + std::to_string(g.assoc) +
+          " ways needs a power-of-two set count and assoc > 0");
     }
+    const std::uint32_t sampled_sets =
+        std::max(1u, g.num_sets >> sample_shift_);
     LaneMeta m;
-    m.sampled_sets = std::max(1u, g.num_sets >> sample_shift_);
+    m.set_mask = g.num_sets - 1;
+    m.row_mask = sampled_sets - 1;
     m.assoc = g.assoc;
     m.tag_base = tag_total;
     m.depth_base = depth_total;
     meta_.push_back(m);
-    tag_total += static_cast<std::size_t>(m.sampled_sets) * m.assoc;
+    tag_total += static_cast<std::size_t>(sampled_sets) * m.assoc;
     depth_total += m.assoc;
   }
   tags_.assign(tag_total, kEmptyTag);
@@ -39,31 +52,33 @@ ShadowConfigBatch::ShadowConfigBatch(std::vector<ShadowGeometry> geometries,
 }
 
 void ShadowConfigBatch::observe(Addr line) {
-  const Addr l = line_addr(line);
-  const Addr block = l / kLineSize;
-  for (std::size_t g = 0; g < geoms_.size(); ++g) {
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(block % geoms_[g].num_sets);
-    if ((set & ((1u << sample_shift_) - 1u)) != 0) continue;
-    const LaneMeta& m = meta_[g];
-    ++accesses_[g];
-    Addr* row = tags_.data() + m.tag_base +
-                static_cast<std::size_t>((set >> sample_shift_) %
-                                         m.sampled_sets) *
-                    m.assoc;
-    // MRU-first stack update in place: find the hit depth (or the end of the
-    // row), shift everything above it down one slot, insert at MRU.
-    std::uint32_t depth = m.assoc - 1;  // miss: the LRU entry falls off
-    for (std::uint32_t d = 0; d < m.assoc; ++d) {
-      if (row[d] == l) {
-        ++hits_at_depth_[m.depth_base + d];
-        depth = d;
-        break;
-      }
-    }
-    for (std::uint32_t d = depth; d > 0; --d) row[d] = row[d - 1];
-    row[0] = l;
+  // Only the low bits survive each lane's set mask, so truncating the block
+  // number to 32 bits first picks the same set.
+  observe(line, static_cast<std::uint32_t>(line_addr(line) / kLineSize));
+}
+
+void ShadowConfigBatch::touch(std::size_t g, Addr l, std::uint32_t set) {
+  const LaneMeta& m = meta_[g];
+  ++accesses_[g];
+  Addr* const row =
+      tags_.data() + m.tag_base +
+      static_cast<std::size_t>((set >> sample_shift_) & m.row_mask) * m.assoc;
+  // MRU-first stack update in place: find the hit depth (a miss drops the
+  // LRU entry), shift everything above it down one slot, insert at MRU.
+  Addr* const end = row + m.assoc;
+  Addr* pos = std::find(row, end, l);
+  if (pos != end) {
+    ++hits_at_depth_[m.depth_base + static_cast<std::size_t>(pos - row)];
+  } else {
+    pos = end - 1;
   }
+  std::copy_backward(row, pos, pos + 1);
+  row[0] = l;
+}
+
+void ShadowConfigBatch::new_epoch() {
+  std::fill(hits_at_depth_.begin(), hits_at_depth_.end(), 0);
+  std::fill(accesses_.begin(), accesses_.end(), 0);
 }
 
 std::uint64_t ShadowConfigBatch::observed_accesses(std::size_t g) const {

@@ -38,10 +38,10 @@ DynamicPartitionedL2::DynamicPartitionedL2(const DynamicL2Config& cfg)
                                              tech_.retention_cycles)),
       controller_(tuned_controller(cfg, tech_)),
       alloc_(controller_.current()),
-      user_monitor_(cfg.cache.num_sets(), cfg.monitor_sample_shift,
-                    cfg.cache.assoc),
-      kernel_monitor_(cfg.cache.num_sets(), cfg.monitor_sample_shift,
-                      cfg.cache.assoc) {
+      user_monitor_({{cfg.cache.num_sets(), cfg.cache.assoc}},
+                    cfg.monitor_sample_shift),
+      kernel_monitor_({{cfg.cache.num_sets(), cfg.cache.assoc}},
+                      cfg.monitor_sample_shift) {
   cache_.set_retention_period(tech_.retention_cycles);
   if (cfg.fault.enabled()) {
     fault_ = std::make_unique<FaultInjector>(cfg.fault, cache_);
@@ -163,12 +163,12 @@ void DynamicPartitionedL2::apply_allocation(WayAllocation next, Cycle now) {
 void DynamicPartitionedL2::maybe_epoch(Cycle now) {
   if (epoch_access_count_ < cfg_.epoch_accesses) return;
 
-  auto demand_of = [&](ShadowTagMonitor& mon, int mode_idx) {
+  auto demand_of = [&](const ShadowConfigBatch& mon, int mode_idx) {
     ModeDemand d;
     d.hits_with.resize(cache_.assoc() + 1, 0);
     for (std::uint32_t w = 1; w <= cache_.assoc(); ++w)
-      d.hits_with[w] = mon.hits_with_ways(w);
-    d.monitor_accesses = mon.observed_accesses();
+      d.hits_with[w] = mon.hits_with_ways(0, w);
+    d.monitor_accesses = mon.observed_accesses(0);
     d.accesses = epoch_accesses_[mode_idx];
     d.misses = epoch_misses_[mode_idx];
     d.epoch_cycles = now > epoch_start_cycle_ ? now - epoch_start_cycle_ : 0;
@@ -223,7 +223,7 @@ L2Result DynamicPartitionedL2::do_access(Addr line, AccessType type,
 
   if (demand) {
     (mode == Mode::User ? user_monitor_ : kernel_monitor_)
-        .access(line, cache_.set_index(line));
+        .observe(line, cache_.set_index(line));
     ++epoch_access_count_;
     ++epoch_accesses_[static_cast<int>(mode)];
   }

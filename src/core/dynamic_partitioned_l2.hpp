@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "cache/bank_model.hpp"
-#include "cache/shadow_monitor.hpp"
+#include "cache/config_batch.hpp"
 #include "core/dynamic_controller.hpp"
 #include "core/l2_interface.hpp"
 #include "energy/refresh.hpp"
@@ -136,8 +136,9 @@ class DynamicPartitionedL2 final : public L2Interface {
   EnergyAccountant acct_;
   DynamicPartitionController controller_;
   WayAllocation alloc_;
-  ShadowTagMonitor user_monitor_;
-  ShadowTagMonitor kernel_monitor_;
+  /// One-lane utility monitors, fed demand accesses only.
+  ShadowConfigBatch user_monitor_;
+  ShadowConfigBatch kernel_monitor_;
 
   std::uint64_t epoch_access_count_ = 0;
   std::uint64_t epoch_misses_[kModeCount] = {0, 0};

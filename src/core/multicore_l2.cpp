@@ -42,8 +42,9 @@ MulticoreDynamicL2::MulticoreDynamicL2(const MulticoreL2Config& cfg)
   epoch_accesses_.assign(groups, 0);
   monitors_.reserve(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
-    monitors_.emplace_back(cfg_.cache.num_sets(), cfg_.monitor_sample_shift,
-                           cfg_.cache.assoc);
+    monitors_.emplace_back(
+        std::vector<ShadowGeometry>{{cfg_.cache.num_sets(), cfg_.cache.assoc}},
+        cfg_.monitor_sample_shift);
   }
 }
 
@@ -79,10 +80,10 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   // two-group controller).
   std::vector<std::uint32_t> target(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
-    const ShadowTagMonitor& mon = monitors_[g];
-    const std::uint64_t full_hits = mon.hits_with_ways(cache_.assoc());
+    const ShadowConfigBatch& mon = monitors_[g];
+    const std::uint64_t full_hits = mon.hits_with_ways(0, cache_.assoc());
     const std::uint64_t accesses =
-        std::max(mon.observed_accesses(), full_hits);
+        std::max(mon.observed_accesses(0), full_hits);
     if (accesses == 0) {
       target[g] = cfg_.min_ways_per_group;
       continue;
@@ -94,7 +95,7 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
     std::uint32_t w = cache_.assoc();
     for (std::uint32_t c = cfg_.min_ways_per_group; c <= cache_.assoc();
          ++c) {
-      if (static_cast<double>(mon.hits_with_ways(c)) >= required) {
+      if (static_cast<double>(mon.hits_with_ways(0, c)) >= required) {
         w = c;
         break;
       }
@@ -115,8 +116,8 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   auto marginal = [&](std::uint32_t g) {
     const std::uint32_t w = next[g];
     if (w <= cfg_.min_ways_per_group) return 1e18;  // cannot shrink
-    return static_cast<double>(monitors_[g].hits_with_ways(w) -
-                               monitors_[g].hits_with_ways(w - 1));
+    return static_cast<double>(monitors_[g].hits_with_ways(0, w) -
+                               monitors_[g].hits_with_ways(0, w - 1));
   };
   std::uint32_t total = 0;
   for (std::uint32_t w : next) total += w;
@@ -195,7 +196,7 @@ L2Result MulticoreDynamicL2::access(Addr line, AccessType type, Mode mode,
   }
 
   const std::uint32_t g = group_of(mode, core);
-  monitors_[g].access(line, cache_.set_index(line));
+  monitors_[g].observe(line, cache_.set_index(line));
   ++epoch_accesses_[g];
   ++epoch_total_;
 

@@ -21,7 +21,7 @@
 
 #include <vector>
 
-#include "cache/shadow_monitor.hpp"
+#include "cache/config_batch.hpp"
 #include "core/l2_interface.hpp"
 #include "energy/refresh.hpp"
 #include "energy/technology.hpp"
@@ -136,7 +136,7 @@ class MulticoreDynamicL2 final : public MulticoreL2Interface {
   std::vector<std::uint32_t> ways_;      ///< way count per group
   std::vector<int> way_owner_;           ///< way → group index, -1 = off
   std::vector<WayMask> group_mask_;      ///< cached masks per group
-  std::vector<ShadowTagMonitor> monitors_;
+  std::vector<ShadowConfigBatch> monitors_;
   std::vector<std::uint64_t> epoch_accesses_;
   std::uint64_t epoch_total_ = 0;
 

@@ -316,8 +316,13 @@ std::vector<SimResult> simulate_batch(const Trace& trace,
 
 std::vector<double> estimate_demand_miss_rates(const DemandStream& stream,
                                                ShadowConfigBatch& shadow) {
+  // Replay order matches simulate_batch_lanes: the demand, then its L1
+  // castout, which the simulated L2 also counts as an access.
   for (std::size_t e = 0; e < stream.size(); ++e) {
     shadow.observe(stream.line[e]);
+    if ((stream.flags[e] & DemandStream::kWriteback) != 0) {
+      shadow.observe(stream.wb_line[e]);
+    }
   }
   std::vector<double> rates(shadow.lanes());
   for (std::size_t g = 0; g < shadow.lanes(); ++g) {

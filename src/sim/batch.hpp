@@ -122,11 +122,12 @@ std::vector<SimResult> simulate_batch(const Trace& trace,
                                       const SimOptions& opts = {});
 
 /// Auxiliary-tag estimation seam (Mittal-style single-pass profiling): feeds
-/// every demand line of `stream` through `shadow` and returns, per geometry
-/// lane, the estimated L2 miss rate at that lane's full associativity.
-/// Estimates are *approximations* (LRU stacks, sampled sets — accuracy
-/// bounds in docs/SWEEP_ENGINE.md), for triaging which sizes deserve a real
-/// simulation lane.
+/// every L2 access of `stream` through `shadow` — each demand line and, when
+/// flagged, its L1 writeback victim, in replay order — and returns, per
+/// geometry lane, the estimated L2 miss rate at that lane's full
+/// associativity. Estimates are *approximations* (LRU stacks, sampled sets —
+/// the gated error bound is in docs/SWEEP_ENGINE.md), for triaging which
+/// sizes deserve a real simulation lane.
 std::vector<double> estimate_demand_miss_rates(const DemandStream& stream,
                                                ShadowConfigBatch& shadow);
 

@@ -524,11 +524,36 @@ TEST(ShadowBatch, EstimationSeamCoversEveryLane) {
   EXPECT_GE(rates[1], rates[0]);
 }
 
+TEST(ShadowBatch, EstimationSeamCountsWritebacks) {
+  // The simulated L2 sees every demand and then its L1 castout; the
+  // estimator must observe that same access stream, not the demands alone.
+  const Trace trace = generate_app_trace(AppId::Browser, 30'000, 5);
+  const DemandStream stream = build_demand_stream(trace, SimOptions{});
+  std::uint64_t writebacks = 0;
+  for (const std::uint8_t f : stream.flags) {
+    if ((f & DemandStream::kWriteback) != 0) ++writebacks;
+  }
+  ASSERT_GT(writebacks, 0u);
+  ShadowConfigBatch shadow({{2048, 16}}, /*sample_shift=*/0);
+  estimate_demand_miss_rates(stream, shadow);
+  EXPECT_EQ(shadow.observed_accesses(0), stream.size() + writebacks);
+}
+
 TEST(ShadowBatch, RejectsDegenerateGeometry) {
   const std::vector<ShadowGeometry> zero_sets{{0, 4}};
   const std::vector<ShadowGeometry> zero_ways{{16, 0}};
+  const std::vector<ShadowGeometry> odd_sets{{16, 4}, {12, 4}};
   EXPECT_THROW(ShadowConfigBatch batch(zero_sets), std::invalid_argument);
   EXPECT_THROW(ShadowConfigBatch batch(zero_ways), std::invalid_argument);
+  EXPECT_THROW(ShadowConfigBatch batch({{16, 4}}, /*sample_shift=*/32),
+               std::invalid_argument);
+  try {
+    ShadowConfigBatch batch(odd_sets);
+    ADD_FAILURE() << "a 12-set geometry must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("12 sets"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- bench_sweep_batch CLI/env parsing -----------------------------------

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/content_hash.hpp"
 #include "common/rng.hpp"
+#include "core/scheme.hpp"
+#include "exp/result_store.hpp"
+#include "sim/simulator.hpp"
+#include "workload/suite.hpp"
 
 namespace mobcache {
 namespace {
@@ -185,6 +190,30 @@ TEST(DynamicL2, WritebacksAreNotDemandAccesses) {
     l2.writeback(static_cast<Addr>(i) * kLineSize, Mode::User, i);
   EXPECT_EQ(l2.reconfigurations(), 0u);
   EXPECT_EQ(l2.aggregate_stats().total_accesses(), 100u);
+}
+
+TEST(DynamicL2Golden, DpSttBrowserRunIsPinned) {
+  // Every epoch decision and the persisted result record of one DP-STT run,
+  // pinned so a change to the utility monitor that moves a single decision
+  // shows up here. Short epochs make a 50k-record trace reconfigure often.
+  SchemeParams p;
+  p.dp_epoch_accesses = 200;
+  const std::unique_ptr<L2Interface> l2 =
+      build_scheme(SchemeKind::DynamicStt, p);
+  const auto& dp = dynamic_cast<const DynamicPartitionedL2&>(*l2);
+  const std::string record = result_to_record_json(
+      simulate(generate_app_trace(AppId::Browser, 50'000, 42), *l2));
+
+  ContentHasher history;
+  for (const AllocationSample& s : dp.allocation_history()) {
+    history.mix(s.cycle)
+        .mix(std::uint64_t{s.user_ways})
+        .mix(std::uint64_t{s.kernel_ways});
+  }
+  EXPECT_EQ(dp.allocation_history().size(), 31u);
+  EXPECT_EQ(history.digest(), 0xb8eb49ebff16e926ull);
+  EXPECT_EQ(fnv1a64(record.data(), record.size()), 0xd76cb80c76163489ull)
+      << record;
 }
 
 }  // namespace

@@ -151,5 +151,27 @@ TEST(MulticoreSim, Deterministic) {
   EXPECT_DOUBLE_EQ(a.l2_energy.total_nj(), b.l2_energy.total_nj());
 }
 
+TEST(MulticoreGolden, FinalWaysAndReconfigurationsArePinned) {
+  // The per-group controller's end state on a fixed two-core run, pinned so
+  // a change to the utility monitors that moves any decision shows up here.
+  std::vector<Trace> traces;
+  traces.push_back(generate_app_trace(AppId::Browser, 80'000, 11));
+  traces.push_back(generate_app_trace(AppId::Game, 80'000, 12));
+  MulticoreL2Config c = mc_cfg(2);
+  c.epoch_accesses = 1'000;
+  MulticoreDynamicL2 l2(c);
+  const MulticoreResult r = simulate_multicore(traces, l2);
+
+  std::vector<std::uint32_t> ways;
+  for (std::uint32_t g = 0; g < l2.groups(); ++g)
+    ways.push_back(l2.group_ways(g));
+  EXPECT_EQ(ways, (std::vector<std::uint32_t>{2, 1, 4}));
+  EXPECT_EQ(l2.reconfigurations(), 55u);
+  // The enabled-capacity integral and the hit count move with every
+  // intermediate decision, not just the last one.
+  EXPECT_EQ(r.l2.total_hits(), 43'749u);
+  EXPECT_EQ(r.l2_avg_enabled_bytes, 1018621.1824289147);
+}
+
 }  // namespace
 }  // namespace mobcache
