@@ -5,9 +5,9 @@
 ///
 /// The baseline plus the seven sizings run as one run_designs() grid:
 /// `--jobs=N` / MOBCACHE_JOBS pick the worker count, and `--batch[=N]` /
-/// MOBCACHE_SWEEP_BATCH switch the grid onto the single-pass batch engine
-/// (one trace decode drives all sizings — docs/SWEEP_ENGINE.md). Neither
-/// knob changes any emitted number.
+/// MOBCACHE_SWEEP_BATCH the design lanes per replay pass (one trace decode
+/// per workload drives all sizings at any width — docs/SWEEP_ENGINE.md).
+/// Neither knob changes any emitted number.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"

@@ -6,7 +6,7 @@
 /// Sweep points (the baseline plus the nine pairings) run as one
 /// run_designs() grid: pass `--jobs=N` (or MOBCACHE_JOBS) to spread them
 /// over worker threads, and `--batch[=N]` (or MOBCACHE_SWEEP_BATCH) to
-/// drive all pairings from one trace decode per workload
+/// replay up to N pairings per pass over the one trace decode per workload
 /// (docs/SWEEP_ENGINE.md). Results are keyed by point index, so the emitted
 /// table, CSV and JSON are byte-identical for every job count and batch
 /// setting.

@@ -38,6 +38,7 @@
 #include "exp/bench_harness.hpp"
 #include "exp/parallel.hpp"
 #include "exp/result_store.hpp"
+#include "exp/runner.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/batch.hpp"
 #include "sim/multicore.hpp"
@@ -483,6 +484,29 @@ BENCHMARK(BM_EndToEndSimulation)
     ->Arg(static_cast<int>(SchemeKind::StaticPartMrstt))
     ->Arg(static_cast<int>(SchemeKind::DynamicStt))
     ->Unit(benchmark::kMillisecond);
+
+void BM_HeadlineGrid(benchmark::State& state) {
+  // One headline request on one trace. Arg(0): nine direct simulate() calls,
+  // each running its own L1 front end. Arg(1): run_headline() with runner
+  // defaults (sweep_batch 1), which runs the front end once and replays
+  // each scheme's L2 from the shared demand stream. Same bytes either way.
+  const ExperimentRunner runner({AppId::Launcher}, 200'000, 42);
+  const Trace& trace = runner.trace(0);
+  const bool shared = state.range(0) != 0;
+  for (auto _ : state) {
+    if (shared) {
+      benchmark::DoNotOptimize(runner.run_headline());
+    } else {
+      for (SchemeKind k : headline_schemes())
+        benchmark::DoNotOptimize(simulate(trace, build_scheme(k)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * trace.size() *
+                          headline_schemes().size());
+  state.SetLabel(shared ? "run_headline (shared front end)"
+                        : "9x simulate (per-point)");
+}
+BENCHMARK(BM_HeadlineGrid)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TelemetryOverhead(benchmark::State& state) {
   // Arg(0): detached (no Telemetry — the no-sink fast path, one pointer

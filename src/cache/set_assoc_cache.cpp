@@ -290,9 +290,14 @@ SetAssocCache::AccessFn SetAssocCache::kernel_for_flags(bool retention,
                : &SetAssocCache::access_kernel<Repl, false, true, false>;
   if (obs) return &SetAssocCache::access_kernel<Repl, false, false, true>;
   // The feature-free kernel is the hottest instantiation by far; pin the
-  // associativity at compile time for the two the modeled hierarchies use
-  // so the probe and fill-way scans fully unroll.
+  // associativity at compile time for the ones the modeled hierarchies use
+  // (2-way L1I, 4-way L1D, 8/16-way L2s) so the probe and fill-way scans
+  // fully unroll.
   switch (cfg_.assoc) {
+    case 2:
+      return &SetAssocCache::access_kernel<Repl, false, false, false, 2>;
+    case 4:
+      return &SetAssocCache::access_kernel<Repl, false, false, false, 4>;
     case 8:
       return &SetAssocCache::access_kernel<Repl, false, false, false, 8>;
     case 16:

@@ -50,8 +50,9 @@ void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
 
 /// Single-pass sweep batching opt-in (docs/SWEEP_ENGINE.md), wired to
 /// ExperimentRunner::sweep_batch by the sweep benches:
-///   --batch=N              drive up to N design lanes per trace decode
-///                          (0 or 1 = per-point, exactly as before)
+///   --batch=N              drive up to N design lanes per replay pass
+///                          (0 or 1 = one lane per pass; the front end is
+///                          shared either way)
 ///   --batch                shorthand for --batch=16 (the default lane cap)
 ///   MOBCACHE_SWEEP_BATCH=N same as --batch=N; the flag wins when both are
 ///                          given. Parsed with env_u64 — garbage is an

@@ -1,5 +1,6 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <utility>
@@ -180,8 +181,12 @@ SchemeSuiteResult ExperimentRunner::run_custom_impl(
   return out;
 }
 
+bool ExperimentRunner::shares_front_end() const {
+  return !collect_telemetry && batch_eligible(sim_options);
+}
+
 bool ExperimentRunner::batchable() const {
-  return sweep_batch >= 2 && !collect_telemetry && batch_eligible(sim_options);
+  return sweep_batch >= 2 && shares_front_end();
 }
 
 std::vector<SchemeSuiteResult> ExperimentRunner::run_designs(
@@ -200,7 +205,8 @@ ExperimentRunner::run_designs_outcomes(
     const std::vector<DesignSpec>& specs, bool keep_going,
     const std::function<void(std::size_t)>& point_hook) const {
   const std::size_t n = specs.size();
-  if (batchable()) return run_designs_batched(specs, keep_going, point_hook);
+  if (shares_front_end())
+    return run_designs_shared(specs, keep_going, point_hook);
 
   // Per-point fallback: specs across `jobs` workers, each spec a serial
   // suite evaluation — exactly the outer-executor / inner-serial structure
@@ -223,7 +229,7 @@ ExperimentRunner::run_designs_outcomes(
 }
 
 std::vector<PointOutcome<SchemeSuiteResult>>
-ExperimentRunner::run_designs_batched(
+ExperimentRunner::run_designs_shared(
     const std::vector<DesignSpec>& specs, bool keep_going,
     const std::function<void(std::size_t)>& point_hook) const {
   const std::size_t n = specs.size();
@@ -247,14 +253,14 @@ ExperimentRunner::run_designs_batched(
   }
 
   // Warm cells come straight from the store under the *same* content keys
-  // the per-point path uses — a store written per-point resumes batched and
-  // vice versa. Keep-going deliberately does not consult poison records
-  // here: the per-point grid path (fail-fast memoized_map inside each
-  // point) never does either, and equivalence wins over quarantine reuse.
+  // run_custom uses, so any store resumes any sweep. Keep-going
+  // deliberately does not consult poison records here: the per-point
+  // fallback (fail-fast memoized_map inside each point) never does either,
+  // and equivalence wins over quarantine reuse.
   const bool memo = memoizable();
   std::vector<std::vector<std::uint64_t>> keys(n);
   std::vector<std::optional<SimResult>> cells(n * w_count);
-  std::vector<std::vector<std::size_t>> unit_missing(w_count);
+  std::vector<std::vector<std::size_t>> missing(w_count);
   for (std::size_t s = 0; s < n; ++s) {
     if (!live[s]) continue;
     const bool spec_memo = memo && specs[s].design_hash.has_value();
@@ -266,9 +272,15 @@ ExperimentRunner::run_designs_batched(
           continue;
         }
       }
-      unit_missing[w].push_back(s);
+      missing[w].push_back(s);
     }
   }
+
+  // A replay unit: one chunk of a workload's missing specs.
+  struct Unit {
+    std::size_t w, begin, end;  ///< missing[w][begin, end)
+    const DemandStream* stream = nullptr;
+  };
 
   // A spec's failure is attributed to its lowest failing workload — the
   // per-point path's serial inner sweep surfaces exactly that one. Units
@@ -283,74 +295,99 @@ ExperimentRunner::run_designs_batched(
     if (!f || w < f->first) f = std::make_pair(w, e);
   };
 
-  // One unit per workload: decode/L1-simulate the trace once, then replay
-  // its demand stream into the missing specs in chunks of <= sweep_batch
-  // lanes. Units shard across the executor; lanes within a unit are serial.
-  const std::size_t lane_cap = sweep_batch;
-  SweepExecutor ex(jobs);
-  ex.for_each(w_count, [&](std::size_t w) {
-    const std::vector<std::size_t>& todo = unit_missing[w];
-    if (todo.empty()) return;
-    try {
-      const DemandStream stream =
-          build_demand_stream(*traces_[w], sim_options);
-      std::size_t pos = 0;
-      while (pos < todo.size()) {
-        const std::size_t chunk_end =
-            std::min(todo.size(), pos + lane_cap);
-        std::vector<std::unique_ptr<L2Interface>> designs;
-        std::vector<L2Interface*> lanes;
-        std::vector<std::size_t> lane_spec;
-        designs.reserve(chunk_end - pos);
-        std::optional<std::pair<std::size_t, std::exception_ptr>> chunk_err;
-        auto chunk_failed = [&](std::size_t s, const std::exception_ptr& e) {
-          note_failure(s, w, e);
-          if (!chunk_err || s < chunk_err->first)
-            chunk_err = std::make_pair(s, e);
-        };
-        for (std::size_t j = pos; j < chunk_end; ++j) {
-          const std::size_t s = todo[j];
-          try {
-            designs.push_back(specs[s].build());
-            lanes.push_back(designs.back().get());
-            lane_spec.push_back(s);
-          } catch (...) {
-            chunk_failed(s, std::current_exception());
-          }
-        }
-        std::vector<BatchLaneOutcome> lane_out =
-            simulate_batch_lanes(stream, lanes, sim_options);
-        for (std::size_t l = 0; l < lane_out.size(); ++l) {
-          const std::size_t s = lane_spec[l];
-          if (lane_out[l].ok()) {
-            try {
-              SimResult r = std::move(*lane_out[l].result);
-              validate_sim_result_finite(r);
-              if (memo && !keys[s].empty()) result_store->store(keys[s][w], r);
-              cells[s * w_count + w] = std::move(r);
-              continue;
-            } catch (...) {
-              lane_out[l].error = std::current_exception();
-            }
-          }
-          chunk_failed(s, lane_out[l].error);
-        }
-        // Fail-fast aborts after the chunk's completed lanes have been
-        // persisted: a killed sweep still resumes from every finished cell.
-        if (!keep_going && chunk_err)
-          std::rethrow_exception(chunk_err->second);
-        pos = chunk_end;
-      }
-    } catch (...) {
-      const std::exception_ptr e = std::current_exception();
-      if (!keep_going || is_cancellation(e)) throw;
-      // Unit-level failure (stream build, batch-wide error): every spec of
-      // this unit that has no cell yet fails at this workload.
-      for (std::size_t s : todo) {
-        if (!cells[s * w_count + w]) note_failure(s, w, e);
+  // Replays one chunk of lanes. A lane error is confined to its lane;
+  // fail-fast aborts after the chunk's completed lanes have been persisted,
+  // so a killed sweep still resumes from every finished cell.
+  auto replay_chunk = [&](const Unit& u) {
+    std::vector<std::unique_ptr<L2Interface>> designs;
+    std::vector<L2Interface*> lanes;
+    std::vector<std::size_t> lane_spec;
+    designs.reserve(u.end - u.begin);
+    std::optional<std::pair<std::size_t, std::exception_ptr>> chunk_err;
+    auto chunk_failed = [&](std::size_t s, const std::exception_ptr& e) {
+      note_failure(s, u.w, e);
+      if (!chunk_err || s < chunk_err->first) chunk_err = std::make_pair(s, e);
+    };
+    for (std::size_t j = u.begin; j < u.end; ++j) {
+      const std::size_t s = missing[u.w][j];
+      try {
+        designs.push_back(specs[s].build());
+        lanes.push_back(designs.back().get());
+        lane_spec.push_back(s);
+      } catch (...) {
+        chunk_failed(s, std::current_exception());
       }
     }
-  });
+    std::vector<BatchLaneOutcome> lane_out =
+        simulate_batch_lanes(*u.stream, lanes, sim_options);
+    for (std::size_t l = 0; l < lane_out.size(); ++l) {
+      if (lane_out[l].ok()) {
+        const std::size_t s = lane_spec[l];
+        try {
+          SimResult r = std::move(*lane_out[l].result);
+          validate_sim_result_finite(r);
+          if (memo && !keys[s].empty()) result_store->store(keys[s][u.w], r);
+          cells[s * w_count + u.w] = std::move(r);
+          continue;
+        } catch (...) {
+          lane_out[l].error = std::current_exception();
+        }
+      }
+      chunk_failed(lane_spec[l], lane_out[l].error);
+    }
+    if (!keep_going && chunk_err) std::rethrow_exception(chunk_err->second);
+  };
+
+  // Every workload with a missing point runs its L1 front end once and
+  // replays the stream into its missing specs, in (workload, chunk) units
+  // of <= max(1, sweep_batch) lanes; at sweep_batch 1 every point is its
+  // own unit, so `jobs` workers spread even a single-trace grid. Workloads
+  // go in groups of `jobs`: a group builds its streams in parallel, replays
+  // its units across the workers and drops its streams before the next
+  // group starts, so at most `jobs` streams are alive.
+  auto unit_failed = [&](const Unit& u, const std::exception_ptr& e) {
+    if (!keep_going || is_cancellation(e)) std::rethrow_exception(e);
+    // Unit-level failure (stream build, whole-replay error): every spec of
+    // this unit that has no cell yet fails at this workload.
+    for (std::size_t j = u.begin; j < u.end; ++j) {
+      const std::size_t s = missing[u.w][j];
+      if (!cells[s * w_count + u.w]) note_failure(s, u.w, e);
+    }
+  };
+  std::vector<std::size_t> todo;
+  for (std::size_t w = 0; w < w_count; ++w) {
+    if (!missing[w].empty()) todo.push_back(w);
+  }
+  SweepExecutor ex(jobs);
+  const std::size_t lane_cap = std::max(1u, sweep_batch);
+  for (std::size_t g = 0; g < todo.size(); g += ex.jobs()) {
+    const std::size_t g_end = std::min(todo.size(), g + ex.jobs());
+    std::vector<std::optional<DemandStream>> streams =
+        ex.map(g_end - g, [&](std::size_t i) -> std::optional<DemandStream> {
+          const std::size_t w = todo[g + i];
+          try {
+            return build_demand_stream(*traces_[w], sim_options);
+          } catch (...) {
+            unit_failed({w, 0, missing[w].size()}, std::current_exception());
+            return std::nullopt;
+          }
+        });
+    std::vector<Unit> units;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (!streams[i]) continue;
+      const std::size_t w = todo[g + i];
+      const std::size_t m = missing[w].size();
+      for (std::size_t pos = 0; pos < m; pos += lane_cap)
+        units.push_back({w, pos, std::min(m, pos + lane_cap), &*streams[i]});
+    }
+    ex.for_each(units.size(), [&](std::size_t i) {
+      try {
+        replay_chunk(units[i]);
+      } catch (...) {
+        unit_failed(units[i], std::current_exception());
+      }
+    });
+  }
 
   for (std::size_t s = 0; s < n; ++s) {
     if (!live[s]) continue;
@@ -378,69 +415,10 @@ ExperimentRunner::run_designs_batched(
 
 std::vector<SchemeSuiteResult> ExperimentRunner::run_schemes(
     const std::vector<SchemeKind>& kinds, const SchemeParams& params) const {
-  if (batchable()) {
-    std::vector<DesignSpec> specs;
-    specs.reserve(kinds.size());
-    for (SchemeKind kind : kinds) specs.push_back(scheme_design(kind, params));
-    return run_designs(specs);
-  }
-
-  const std::size_t w_count = traces_.size();
-
-  // One flat (scheme × workload) sweep: cell c = (kinds[c / W], c % W).
-  SweepExecutor ex(jobs);
-  std::vector<SuiteCell> cells;
-  if (memoizable()) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(kinds.size() * w_count);
-    for (SchemeKind kind : kinds) {
-      for (std::uint64_t k : cell_keys(scheme_design_hash(kind, params)))
-        keys.push_back(k);
-    }
-    std::vector<SimResult> results =
-        memoized_map(ex, result_store, keys, [&](std::size_t c) {
-          return checked_simulate(*traces_[c % w_count],
-                                  build_scheme(kinds[c / w_count], params),
-                                  sim_options);
-        });
-    cells.resize(results.size());
-    for (std::size_t c = 0; c < results.size(); ++c)
-      cells[c].res = std::move(results[c]);
-  } else {
-    cells = ex.map(kinds.size() * w_count, [&](std::size_t c) {
-      const SchemeKind kind = kinds[c / w_count];
-      const std::size_t w = c % w_count;
-      SimOptions opts = sim_options;
-      SuiteCell cell;
-      if (collect_telemetry) {
-        cell.tel = std::make_shared<Telemetry>();
-        cell.tel->set_sample_interval(telemetry_sample_interval);
-        opts.telemetry = cell.tel.get();
-      }
-      cell.res = checked_simulate(*traces_[w], build_scheme(kind, params), opts);
-      return cell;
-    });
-  }
-
-  std::vector<SchemeSuiteResult> out;
-  out.reserve(kinds.size());
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    SchemeSuiteResult r;
-    r.kind = kinds[k];
-    r.name = scheme_name(kinds[k]);
-    r.per_workload.reserve(w_count);
-    double miss_sum = 0.0;
-    for (std::size_t w = 0; w < w_count; ++w) {
-      SuiteCell& cell = cells[k * w_count + w];
-      miss_sum += cell.res.l2_miss_rate();
-      r.per_workload.push_back(std::move(cell.res));
-      if (collect_telemetry)
-        r.per_workload_telemetry.push_back(std::move(cell.tel));
-    }
-    if (w_count > 0) r.avg_miss_rate = miss_sum / static_cast<double>(w_count);
-    out.push_back(std::move(r));
-  }
-  return out;
+  std::vector<DesignSpec> specs;
+  specs.reserve(kinds.size());
+  for (SchemeKind kind : kinds) specs.push_back(scheme_design(kind, params));
+  return run_designs(specs);
 }
 
 std::vector<SchemeSuiteResult> ExperimentRunner::run_headline(

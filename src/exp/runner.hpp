@@ -109,24 +109,22 @@ class ExperimentRunner {
       const std::function<std::unique_ptr<L2Interface>()>& builder,
       std::optional<std::uint64_t> design_hash = std::nullopt) const;
 
-  /// Runs several schemes as one flat (scheme × workload) sweep — the
-  /// maximum-parallelism path. No normalization is applied. When the runner
-  /// is batchable() this delegates to run_designs(), which drives up to
-  /// `sweep_batch` schemes per trace decode; results are byte-identical
-  /// either way.
+  /// Runs several schemes as one grid: run_designs() over their
+  /// scheme_design() specs, so the schemes share each workload's L1 front
+  /// end whenever the configuration allows it. No normalization is applied.
   std::vector<SchemeSuiteResult> run_schemes(
       const std::vector<SchemeKind>& kinds,
       const SchemeParams& params = {}) const;
 
   /// Runs a sweep grid of designs (one suite evaluation per spec), in spec
-  /// order. With `sweep_batch` >= 2 and a batch-eligible configuration the
-  /// grid executes on the single-pass engine (sim/batch.hpp): one demand
-  /// stream per workload drives up to `sweep_batch` design lanes at once.
-  /// Otherwise each spec runs exactly like
+  /// order. With a batch-eligible configuration and telemetry off, each
+  /// workload that misses a point runs the L1 front end once
+  /// (sim/batch.hpp) and replays its demand stream into the missing designs
+  /// in passes of up to max(1, `sweep_batch`) lanes; at most `jobs` streams
+  /// are alive at a time. Otherwise each spec runs exactly like
   /// `run_custom(spec.name, spec.build, spec.design_hash)` on a serial inner
-  /// executor, with the specs sharded across `jobs` workers — the structure
-  /// every sweep bench used before batching existed. Both paths produce
-  /// byte-identical SchemeSuiteResults and result-store artifacts
+  /// executor, with the specs sharded across `jobs` workers. Both paths
+  /// produce byte-identical SchemeSuiteResults and result-store artifacts
   /// (docs/SWEEP_ENGINE.md). Fail-fast: the first failing point aborts the
   /// sweep.
   std::vector<SchemeSuiteResult> run_designs(
@@ -142,9 +140,10 @@ class ExperimentRunner {
       const std::vector<DesignSpec>& specs, bool keep_going,
       const std::function<void(std::size_t)>& point_hook = {}) const;
 
-  /// True when run_designs()/run_schemes() will take the batched single-pass
-  /// path: `sweep_batch` >= 2, no telemetry collection, and a
-  /// batch-eligible SimOptions (batch_eligible() in sim/batch.hpp).
+  /// True when run_designs()/run_schemes() replay more than one design lane
+  /// per pass: `sweep_batch` >= 2, no telemetry collection, and a
+  /// batch-eligible SimOptions (batch_eligible() in sim/batch.hpp). With
+  /// `sweep_batch` <= 1 the front end is still shared, one lane per pass.
   bool batchable() const;
 
   /// Runs all headline schemes and normalizes against the first (baseline).
@@ -186,21 +185,25 @@ class ExperimentRunner {
   /// replay their side channels.
   ResultStore* result_store = nullptr;
 
-  /// Design lanes driven per demand-stream replay in run_designs()/
-  /// run_schemes(). 0/1 = per-point (the default — every spec simulates its
-  /// own L1 pass), N >= 2 = decode each trace once and replay it into up to
-  /// N design lanes. Benches wire this to --batch / MOBCACHE_SWEEP_BATCH
+  /// Design lanes per demand-stream replay pass in run_designs()/
+  /// run_schemes(). 0/1 = one lane per pass (the default: each point gets
+  /// its own replay and deadline window, and `jobs` workers spread the
+  /// points), N >= 2 = up to N lanes per pass. Either way an eligible
+  /// runner runs each workload's L1 front end at most once per sweep.
+  /// Benches wire this to --batch / MOBCACHE_SWEEP_BATCH
   /// (bench_sweep_batch). Results are byte-identical for every value; only
   /// wall-clock changes.
   unsigned sweep_batch = 1;
 
  private:
   bool memoizable() const;
+  /// Eligible for one shared front-end pass per workload (any sweep_batch).
+  bool shares_front_end() const;
   SchemeSuiteResult run_custom_impl(
       const std::string& name,
       const std::function<std::unique_ptr<L2Interface>()>& builder,
       std::optional<std::uint64_t> design_hash, unsigned exec_jobs) const;
-  std::vector<PointOutcome<SchemeSuiteResult>> run_designs_batched(
+  std::vector<PointOutcome<SchemeSuiteResult>> run_designs_shared(
       const std::vector<DesignSpec>& specs, bool keep_going,
       const std::function<void(std::size_t)>& point_hook) const;
   /// Per-cell content keys for a (design × workload) grid slice.

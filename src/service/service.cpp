@@ -15,6 +15,7 @@
 #include "exp/parallel.hpp"
 #include "exp/runner.hpp"
 #include "obs/trace_export.hpp"
+#include "sim/batch.hpp"
 #include "trace/trace_stream.hpp"
 #include "workload/scenario.hpp"
 
@@ -199,7 +200,7 @@ std::string MobcacheDaemon::run_request(const ServiceRequest& rq) {
     return fleet_response_line(rq.id, rq.fleet_scheme, fr) + "\n";
   }
 
-  // Same execution path and content keys as `mobcache_simrun` plain mode:
+  // Same content keys and result bytes as `mobcache_simrun` plain mode:
   // the runner's scheme_design hash over default SchemeParams matches the
   // CLI's, so one store serves both producers interchangeably.
   ExperimentRunner runner(rq.apps, rq.records, rq.seed);
@@ -246,6 +247,7 @@ void MobcacheDaemon::publish_metrics() {
   reg.counter("stream.chunk_reuse_hits").add(stream.chunk_reuse_hits);
   reg.counter("stream.high_water_chunk_bytes")
       .add(stream.high_water_chunk_bytes);
+  reg.counter("sim.front_end_passes").add(front_end_passes());
   const FleetCounters fleet = fleet_counters();
   reg.counter("fleet.sessions_simulated").add(fleet.sessions_simulated);
   reg.counter("fleet.session_records").add(fleet.session_records);

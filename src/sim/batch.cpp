@@ -1,6 +1,7 @@
 #include "sim/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <span>
 
@@ -117,6 +118,8 @@ bool batch_eligible(const SimOptions& opts) {
 
 namespace {
 
+std::atomic<std::uint64_t> g_front_end_passes{0};
+
 /// Shared L1 pass over any chunk provider. Supervision polls at chunk
 /// boundaries — the exact positions of the pre-streaming loop when fed
 /// kCancelPollStride-sized subspans, and a pure check in any case, so the
@@ -125,6 +128,7 @@ template <typename NextChunk>
 DemandStream build_demand_stream_chunked(const std::string& workload,
                                          NextChunk&& next_chunk,
                                          const SimOptions& opts) {
+  g_front_end_passes.fetch_add(1, std::memory_order_relaxed);
   DemandStream s;
   s.workload = workload;
   s.l1_hit_latency = opts.hierarchy.l1_hit_latency;
@@ -164,6 +168,10 @@ DemandStream build_demand_stream_chunked(const std::string& workload,
 }
 
 }  // namespace
+
+std::uint64_t front_end_passes() {
+  return g_front_end_passes.load(std::memory_order_relaxed);
+}
 
 DemandStream build_demand_stream(const Trace& trace, const SimOptions& opts) {
   const std::vector<Access>& accesses = trace.accesses();

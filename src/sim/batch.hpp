@@ -84,6 +84,11 @@ bool batch_eligible(const SimOptions& opts);
 /// Precondition: batch_eligible(opts).
 DemandStream build_demand_stream(const Trace& trace, const SimOptions& opts);
 
+/// Process-wide count of build_demand_stream() calls (either overload),
+/// published in the daemon's metrics as `sim.front_end_passes`. A relaxed
+/// atomic, like the stream.* counters: cheap enough to leave on.
+std::uint64_t front_end_passes();
+
 class TraceStream;
 
 /// Streaming front end: same shared L1 pass fed chunk by chunk from a

@@ -1,11 +1,12 @@
 /// \file test_batch.cpp
 /// Single-pass batch sweep engine (sim/batch.hpp, cache/config_batch.hpp,
-/// ExperimentRunner::run_designs): the batched path's whole contract is
-/// byte-identity with the per-point path, so nearly every test here pins
-/// the two against each other — SimResults via the exact result-store
-/// record serialization, result-store keys across paths, and the keep-going
-/// failure manifests. The ShadowConfigBatch estimator is checked against a
-/// brute-force LRU-stack reference.
+/// ExperimentRunner::run_designs): the shared-front-end path's whole
+/// contract is byte-identity with per-point simulate(), so nearly every test
+/// here pins the two against each other — SimResults via the exact
+/// result-store record serialization (the runner side against direct
+/// simulate() calls, support/simulate_grid.hpp), result-store keys across
+/// lane widths, and the keep-going failure manifests. The ShadowConfigBatch
+/// estimator is checked against a brute-force LRU-stack reference.
 
 #include "sim/batch.hpp"
 
@@ -31,6 +32,7 @@
 #include "exp/result_store.hpp"
 #include "exp/runner.hpp"
 #include "support/scoped_dir.hpp"
+#include "support/simulate_grid.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -238,21 +240,26 @@ void expect_suite_equal(const SchemeSuiteResult& a,
 TEST(RunnerBatch, RunDesignsByteIdenticalAcrossBatchAndJobs) {
   const std::vector<DesignSpec> specs = mixed_grid();
 
-  ExperimentRunner per_point({AppId::Launcher, AppId::Email}, 30'000, 42);
-  const std::vector<SchemeSuiteResult> expect = per_point.run_designs(specs);
+  ExperimentRunner ref({AppId::Launcher, AppId::Email}, 30'000, 42);
+  const std::vector<SchemeSuiteResult> expect = simulate_grid(ref, specs);
 
-  // Full-grid batch, chunked batch (lane cap smaller than the grid), and a
-  // parallel batched run must all reproduce the per-point bytes.
-  for (const auto& [batch, jobs] :
-       std::vector<std::pair<unsigned, unsigned>>{{8, 1}, {2, 1}, {8, 2}}) {
-    ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
-    r.sweep_batch = batch;
-    r.jobs = jobs;
-    ASSERT_TRUE(r.batchable());
-    const std::vector<SchemeSuiteResult> got = r.run_designs(specs);
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-      expect_suite_equal(got[i], expect[i]);
+  // One lane per pass, chunked passes (lane cap smaller than the grid) and
+  // whole-grid passes, serial and parallel, must all reproduce the
+  // simulate() bytes.
+  for (unsigned batch : {1u, 2u, 16u}) {
+    for (unsigned jobs : {1u, 2u, 4u}) {
+      ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
+      r.sweep_batch = batch;
+      r.jobs = jobs;
+      EXPECT_EQ(r.batchable(), batch >= 2);
+      const std::vector<SchemeSuiteResult> got = r.run_designs(specs);
+      ASSERT_EQ(got.size(), expect.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("batch " + std::to_string(batch) + " jobs " +
+                     std::to_string(jobs) + " spec " + std::to_string(i));
+        expect_suite_equal(got[i], expect[i]);
+      }
+    }
   }
 }
 
@@ -260,11 +267,12 @@ TEST(RunnerBatch, RunSchemesDelegatesToTheBatchedPath) {
   const std::vector<SchemeKind> kinds{SchemeKind::BaselineSram,
                                       SchemeKind::StaticPartMrstt,
                                       SchemeKind::DynamicStt};
-  ExperimentRunner per_point({AppId::Maps}, 30'000, 9);
   ExperimentRunner batched({AppId::Maps}, 30'000, 9);
   batched.sweep_batch = 8;
   ASSERT_TRUE(batched.batchable());
-  const auto expect = per_point.run_schemes(kinds);
+  std::vector<DesignSpec> specs;
+  for (SchemeKind k : kinds) specs.push_back(scheme_design(k));
+  const auto expect = simulate_grid(batched, specs);
   const auto got = batched.run_schemes(kinds);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -298,29 +306,39 @@ TEST(RunnerBatch, KeepGoingManifestMatchesPerPoint) {
     }
   };
 
-  ExperimentRunner per_point({AppId::Launcher, AppId::Email}, 30'000, 42);
-  const auto expect =
-      per_point.run_designs_outcomes(specs, /*keep_going=*/true, hook);
-
-  ExperimentRunner batched({AppId::Launcher, AppId::Email}, 30'000, 42);
-  batched.sweep_batch = 8;
-  const auto got =
-      batched.run_designs_outcomes(specs, /*keep_going=*/true, hook);
-
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].ok(), expect[i].ok()) << "point " << i;
-    if (got[i].ok()) {
-      expect_suite_equal(*got[i].value, *expect[i].value);
-    } else {
-      EXPECT_EQ(got[i].failure->index, expect[i].failure->index);
-      EXPECT_EQ(got[i].failure->error_type, expect[i].failure->error_type);
-      EXPECT_EQ(got[i].failure->message, expect[i].failure->message);
-      EXPECT_FALSE(got[i].failure->quarantined);
-    }
+  // The per-point reference: simulate() for the surviving points, and the
+  // hook's own exception, recorded as a PointFailure, for point 2.
+  PointFailure expect_failure;
+  try {
+    hook(2);
+  } catch (...) {
+    expect_failure = point_failure_from(2, std::current_exception());
   }
-  EXPECT_FALSE(got[2].ok());
-  EXPECT_EQ(got[2].failure->error_type, "numeric");
+
+  // Shared front end at 1 and 8 lanes per pass, then an inclusive hierarchy
+  // on the per-point fallback.
+  for (int variant = 0; variant < 3; ++variant) {
+    ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
+    r.sweep_batch = variant == 1 ? 8 : 1;
+    r.sim_options.hierarchy.inclusive_l2 = variant == 2;
+    const std::vector<SchemeSuiteResult> expect = simulate_grid(r, specs);
+    const auto got = r.run_designs_outcomes(specs, /*keep_going=*/true, hook);
+    ASSERT_EQ(got.size(), specs.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("variant " + std::to_string(variant) + " point " +
+                   std::to_string(i));
+      ASSERT_EQ(got[i].ok(), i != 2);
+      if (got[i].ok()) {
+        expect_suite_equal(*got[i].value, expect[i]);
+      } else {
+        EXPECT_EQ(got[i].failure->index, expect_failure.index);
+        EXPECT_EQ(got[i].failure->error_type, expect_failure.error_type);
+        EXPECT_EQ(got[i].failure->message, expect_failure.message);
+        EXPECT_FALSE(got[i].failure->quarantined);
+      }
+    }
+    EXPECT_EQ(got[2].failure->error_type, "numeric");
+  }
 }
 
 TEST(RunnerBatch, FailFastPropagatesTheInjectedFault) {
@@ -332,6 +350,59 @@ TEST(RunnerBatch, FailFastPropagatesTheInjectedFault) {
   EXPECT_THROW(r.run_designs_outcomes(mixed_grid(), /*keep_going=*/false,
                                       hook),
                NumericError);
+}
+
+TEST(RunnerBatch, PerPointGridSharesOneFrontEndPass) {
+  const std::vector<AppId> apps{AppId::Launcher, AppId::Email, AppId::Maps};
+  const std::vector<SchemeKind> kinds = headline_schemes();
+  std::vector<DesignSpec> specs;
+  for (SchemeKind k : kinds) specs.push_back(scheme_design(k));
+  ExperimentRunner ref(apps, 20'000, 5);
+  const std::vector<SchemeSuiteResult> expect = simulate_grid(ref, specs);
+
+  // Front-end passes made by one run_designs() call.
+  auto run_counting = [](const ExperimentRunner& r,
+                         const std::vector<DesignSpec>& grid,
+                         std::vector<SchemeSuiteResult>& got) {
+    const std::uint64_t before = front_end_passes();
+    got = r.run_designs(grid);
+    return front_end_passes() - before;
+  };
+  std::vector<SchemeSuiteResult> got;
+
+  // A W-workload x 9-scheme grid at the default one lane per pass: one
+  // front-end pass per workload, serial or parallel, same bytes.
+  for (unsigned jobs : {1u, 2u}) {
+    ExperimentRunner r(apps, 20'000, 5);
+    r.jobs = jobs;
+    ASSERT_EQ(r.sweep_batch, 1u);
+    EXPECT_EQ(run_counting(r, specs, got), apps.size()) << "jobs " << jobs;
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      expect_suite_equal(got[i], expect[i]);
+  }
+
+  ScopedDir tmp("frontend");
+  ResultStore store(tmp.path().string());
+  ExperimentRunner r(apps, 20'000, 5);
+  r.result_store = &store;
+  EXPECT_EQ(run_counting(r, specs, got), apps.size());  // cold
+  EXPECT_EQ(run_counting(r, specs, got), 0u);  // every cell from the store
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_suite_equal(got[i], expect[i]);
+
+  // One new design on top of the warm grid: each workload misses exactly
+  // one point, and still replays it from a stream of its own.
+  SchemeParams small;
+  small.baseline_bytes = 512ull << 10;
+  small.baseline_assoc = 8;
+  std::vector<DesignSpec> plus_one = specs;
+  plus_one.push_back(scheme_design(SchemeKind::BaselineSram, small));
+  const std::vector<SchemeSuiteResult> new_expect =
+      simulate_grid(r, {plus_one.back()});
+  EXPECT_EQ(run_counting(r, plus_one, got), apps.size());
+  ASSERT_EQ(got.size(), plus_one.size());
+  expect_suite_equal(got.back(), new_expect[0]);
 }
 
 // ---- result-store interchange --------------------------------------------
@@ -349,7 +420,7 @@ TEST_F(BatchStoreTest, BatchedWarmRunServesPerPointColdRecords) {
     ResultStore cold(dir());
     ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
     r.result_store = &cold;
-    (void)r.run_designs(specs);  // per-point cold run populates the store
+    (void)r.run_designs(specs);  // one-lane cold run populates the store
     EXPECT_EQ(cold.stats().stores, specs.size() * 2);
   }
   ResultStore warm(dir());
@@ -359,12 +430,11 @@ TEST_F(BatchStoreTest, BatchedWarmRunServesPerPointColdRecords) {
   ASSERT_TRUE(r.batchable());
   const auto got = r.run_designs(specs);
 
-  ExperimentRunner ref({AppId::Launcher, AppId::Email}, 30'000, 42);
-  const auto expect = ref.run_designs(specs);
+  const auto expect = simulate_grid(r, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
-  // Every (design × workload) cell was served from the per-point records —
-  // the two paths key identically.
+  // Every (design × workload) cell was served from the one-lane records —
+  // the lane widths key identically.
   EXPECT_EQ(warm.stats().hits, specs.size() * 2);
   EXPECT_EQ(warm.stats().misses, 0u);
 }
@@ -427,8 +497,7 @@ TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
   const auto got = r.run_designs(specs);
   EXPECT_GE(store.stats().hits, 2u);
 
-  ExperimentRunner ref({AppId::Launcher, AppId::Email}, len, 42);
-  const auto expect = ref.run_designs(specs);
+  const auto expect = simulate_grid(r, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
 }

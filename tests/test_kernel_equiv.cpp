@@ -160,6 +160,7 @@ struct ArrayCase {
   Cycle retention;   ///< 0 = infinite
   bool fault_hooks;
   bool observer;
+  std::uint32_t assoc = 8;  ///< 2/4/8/16 run an assoc-pinned fast kernel
 };
 
 /// Drives the same pseudorandom operation stream (mixed demand accesses,
@@ -170,7 +171,7 @@ void run_array_case(const ArrayCase& c) {
   CacheConfig cfg;
   cfg.name = "equiv";
   cfg.size_bytes = 64ull << 10;
-  cfg.assoc = 8;
+  cfg.assoc = c.assoc;
   cfg.repl = c.repl;
 
   SetAssocCache fast(cfg, /*seed=*/99);
@@ -218,9 +219,12 @@ void run_array_case(const ArrayCase& c) {
     // Occasionally restrict the way mask the way the partitioned /
     // dynamic designs do.
     WayMask allowed = full;
-    if (rng.chance(0.25))
+    if (rng.chance(0.25)) {
       allowed = way_range_mask(static_cast<std::uint32_t>(rng.below(4)),
-                               static_cast<std::uint32_t>(rng.range(2, 4)));
+                               static_cast<std::uint32_t>(rng.range(2, 4))) &
+                full;
+      if (allowed == 0) allowed = full;  // range past a narrow array's ways
+    }
     const bool prefetch = rng.chance(0.05);
     const bool no_alloc = !prefetch && rng.chance(0.05);
 
@@ -302,6 +306,16 @@ TEST_P(ArrayEquiv, WithRetentionAndFaults) {
 
 TEST_P(ArrayEquiv, WithObservers) {
   run_array_case({GetParam(), 5'000, true, true});
+}
+
+// The L1 geometries: a 2-way L1I and a 4-way L1D each run their own
+// assoc-pinned feature-free kernel.
+TEST_P(ArrayEquiv, PlainArrayTwoWay) {
+  run_array_case({GetParam(), 0, false, false, 2});
+}
+
+TEST_P(ArrayEquiv, PlainArrayFourWay) {
+  run_array_case({GetParam(), 0, false, false, 4});
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRepls, ArrayEquiv,
