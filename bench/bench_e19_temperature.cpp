@@ -11,6 +11,7 @@
 #include "core/multi_retention_l2.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "obs/telemetry.hpp"
 
 using namespace mobcache;
 
@@ -46,8 +47,10 @@ int main() {
 
     // What would the advisor choose at this temperature?
     LifetimeRecorder rec;
+    Telemetry tel;
+    tel.hub().on_eviction(rec.observer());
     SimOptions opts;
-    opts.l2_eviction_observer = rec.observer();
+    opts.telemetry = &tel;
     simulate(runner.trace(0), build_scheme(SchemeKind::StaticPartSram),
              opts);
     const RetentionClass user_rec =

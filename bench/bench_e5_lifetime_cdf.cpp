@@ -8,6 +8,7 @@
 #include "common/table.hpp"
 #include "core/multi_retention_l2.hpp"
 #include "exp/report.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -31,8 +32,10 @@ int main() {
   // Aggregate lifetimes across the interactive suite on the chosen static
   // partition (SRAM tech so lifetimes are unaffected by expiry).
   LifetimeRecorder rec;
+  Telemetry tel;
+  tel.hub().on_eviction(rec.observer());
   SimOptions opts;
-  opts.l2_eviction_observer = rec.observer();
+  opts.telemetry = &tel;
   for (AppId id : interactive_apps()) {
     const Trace trace = generate_app_trace(id, len, 42);
     simulate(trace, build_scheme(SchemeKind::StaticPartSram), opts);

@@ -10,6 +10,7 @@
 #include "core/multi_retention_l2.hpp"
 #include "core/scheme.hpp"
 #include "exp/runner.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -35,8 +36,10 @@ int main(int argc, char** argv) {
 
   // 2. The baseline and its interference problem, with lifetimes recorded.
   LifetimeRecorder rec;
+  Telemetry tel;
+  tel.hub().on_eviction(rec.observer());
   SimOptions opts;
-  opts.l2_eviction_observer = rec.observer();
+  opts.telemetry = &tel;
   const SimResult base =
       simulate(trace, build_scheme(SchemeKind::BaselineSram), opts);
 

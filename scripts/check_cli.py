@@ -5,8 +5,11 @@ Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
 silently ignored `--metrics=` (a truncated shell variable, usually) is how
 results end up in the wrong place without anyone noticing. An unknown scheme
-must be rejected the same way, with the valid names listed. Also smokes the
-daemon's usage error paths and a `--once` run on an empty service dir.
+must be rejected the same way, with the valid names listed. Every numeric
+simrun positional and flag parses strictly (whole string, in range): `abc`,
+`12abc` or an out-of-range rate exits 2 naming the expected value instead
+of running with a misread number. Also smokes the daemon's usage error
+paths and a `--once` run on an empty service dir.
 
 Usage:
   check_cli.py --simrun PATH --daemon PATH --workdir DIR
@@ -112,6 +115,34 @@ def main():
         p.returncode == 2 and "unknown flag" in p.stderr,
         f"rc={p.returncode} stderr={p.stderr.strip()!r}",
     )
+
+    # simrun: every numeric positional and flag parses strictly (whole
+    # string, in range); garbage is a usage error naming the expected value.
+    for cmd, needle in [
+        (["launcher", "base", "abc"], "records must be an integer >= 1"),
+        (["launcher", "base", "0"], "records must be an integer >= 1"),
+        (["launcher", "base", "12abc"], "records must be an integer >= 1"),
+        (["launcher", "base", "1000", "-3"], "seed must be an integer"),
+        (["launcher", "base", "1000", "7", "8"], "unexpected argument '8'"),
+        (["launcher", "--fault-sweep=2,abc"],
+         "--fault-sweep rate must be a number in [0, 1]"),
+        (["launcher", "--fault-sweep=0,,0.1"],
+         "--fault-sweep rate must be a number in [0, 1]"),
+        (["launcher", "--fault-rate=abc"],
+         "--fault-rate must be a number in [0, 1]"),
+        (["launcher", "--fault-rate=1.5"],
+         "--fault-rate must be a number in [0, 1]"),
+        (["launcher", "--fault-rate=nan"],
+         "--fault-rate must be a number in [0, 1]"),
+        (["launcher", "--fault-seed=x1"], "--fault-seed must be an integer"),
+        (["launcher", "--way-disable-threshold=4x"],
+         "--way-disable-threshold must be an integer"),
+        (["launcher", "--sample=-1"], "--sample must be an integer"),
+        (["launcher", "--jobs=two"], "--jobs must be an integer"),
+        (["launcher", "--point-deadline-ms=1.5"],
+         "--point-deadline-ms must be an integer"),
+    ]:
+        expect_usage_error("simrun", [args.simrun] + cmd, needle)
 
     # daemon: same empty-value contract, then a --once smoke.
     check_empty_value_flags("daemon", args.daemon, DAEMON_EQ_FLAGS)

@@ -24,8 +24,9 @@ namespace mobcache {
 /// Collects per-mode block-lifetime statistics from eviction events.
 class LifetimeRecorder {
  public:
-  /// Wire into any L2 via set_eviction_observer (the returned lambda keeps a
-  /// reference to *this; the recorder must outlive the cache).
+  /// Wire into a run via Telemetry::hub().on_eviction, or into an L2 via
+  /// set_eviction_observer (the returned lambda keeps a reference to *this;
+  /// the recorder must outlive the run).
   std::function<void(const EvictionEvent&)> observer();
 
   void on_eviction(const EvictionEvent& e);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
+#include "exp/parallel.hpp"
 #include "exp/result_store.hpp"
 
 namespace mobcache {

@@ -29,17 +29,14 @@
 /// excluded), and any field that changes simulation output must be folded in.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/content_hash.hpp"
 #include "core/scheme.hpp"
-#include "exp/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace mobcache {
@@ -153,33 +150,5 @@ std::optional<SimResult> result_from_record_json(const std::string& json);
 /// misread it as a result.
 std::string failure_to_record_json(const StoredFailure& f);
 std::optional<StoredFailure> failure_from_record_json(const std::string& json);
-
-/// SweepExecutor::map with memoization: point i is served from `store` when
-/// keys[i] is present, and only the missing points are simulated (through
-/// `ex`, preserving index-ordered assembly; a throwing point still fails the
-/// sweep with the lowest *observed* failing index, cached points never
-/// throw). Each freshly computed point is persisted before the sweep
-/// returns, so a killed run resumes from every completed point. With
-/// store == nullptr this is exactly ex.map(keys.size(), fn).
-std::vector<SimResult> memoized_map(
-    const SweepExecutor& ex, ResultStore* store,
-    const std::vector<std::uint64_t>& keys,
-    const std::function<SimResult(std::size_t)>& fn);
-
-/// Keep-going flavour of memoized_map(): returns one PointOutcome per key,
-/// in key order. Point i resolves, in priority order, to
-///  - a stored value (hit — never re-run),
-///  - a stored poison record (quarantined failure, PointFailure::quarantined
-///    set — never re-run unless store->retry_failed()),
-///  - a fresh run through ex.map_outcomes(). The computing worker persists a
-///    value record on success and a poison record on (non-cancellation)
-///    failure *at the moment it happens*, so a SIGTERM drain or crash later
-///    in the sweep loses neither.
-/// Cancellation still aborts the whole sweep (CancelledError propagates);
-/// with store == nullptr this is exactly ex.map_outcomes(keys.size(), fn).
-std::vector<PointOutcome<SimResult>> memoized_map_outcomes(
-    const SweepExecutor& ex, ResultStore* store,
-    const std::vector<std::uint64_t>& keys,
-    const std::function<SimResult(std::size_t)>& fn);
 
 }  // namespace mobcache

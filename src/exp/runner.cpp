@@ -14,28 +14,6 @@
 
 namespace mobcache {
 
-namespace {
-
-/// Content identity of a built-in scheme: kind + every SchemeParams field.
-std::uint64_t scheme_design_hash(SchemeKind kind, const SchemeParams& p) {
-  return ContentHasher()
-      .mix(std::string("scheme"))
-      .mix(static_cast<std::uint64_t>(kind))
-      .mix(hash_scheme_params(p))
-      .digest();
-}
-
-/// simulate() + the numeric invariant gate — the only simulate entry the
-/// runner uses, so every aggregated cell has been validated.
-SimResult checked_simulate(const Trace& trace, std::unique_ptr<L2Interface> l2,
-                           const SimOptions& opts) {
-  SimResult r = simulate(trace, std::move(l2), opts);
-  validate_sim_result_finite(r);
-  return r;
-}
-
-}  // namespace
-
 void validate_sim_result_finite(const SimResult& r) {
   const struct {
     const char* name;
@@ -79,21 +57,10 @@ ExperimentRunner::ExperimentRunner(std::vector<Trace> traces) {
     traces_.push_back(std::make_shared<const Trace>(std::move(t)));
 }
 
-namespace {
-
-/// One (scheme/design, workload) execution — the unit SweepExecutor shards.
-struct SuiteCell {
-  SimResult res;
-  std::shared_ptr<Telemetry> tel;
-};
-
-}  // namespace
-
 bool ExperimentRunner::memoizable() const {
-  // Telemetry sessions and eviction observers are side channels a cached
-  // SimResult cannot replay — those runs always simulate.
-  return result_store != nullptr && !collect_telemetry &&
-         !sim_options.l2_eviction_observer;
+  // Collected telemetry sessions are a side channel a cached SimResult
+  // cannot replay — those runs always simulate.
+  return result_store != nullptr && !collect_telemetry;
 }
 
 std::vector<std::uint64_t> ExperimentRunner::cell_keys(
@@ -111,74 +78,28 @@ DesignSpec scheme_design(SchemeKind kind, const SchemeParams& params) {
   DesignSpec d;
   d.name = scheme_name(kind);
   d.build = [kind, params] { return build_scheme(kind, params); };
-  d.design_hash = scheme_design_hash(kind, params);
+  // Content identity of a built-in scheme: kind + every SchemeParams field.
+  d.design_hash = ContentHasher()
+                      .mix(std::string("scheme"))
+                      .mix(static_cast<std::uint64_t>(kind))
+                      .mix(hash_scheme_params(params))
+                      .digest();
   d.kind = kind;
   return d;
 }
 
 SchemeSuiteResult ExperimentRunner::run_scheme(SchemeKind kind,
                                                const SchemeParams& params) const {
-  SchemeSuiteResult r =
-      run_custom(scheme_name(kind), [&] { return build_scheme(kind, params); },
-                 scheme_design_hash(kind, params));
-  r.kind = kind;
-  return r;
+  return std::move(run_designs({scheme_design(kind, params)}).front());
 }
 
 SchemeSuiteResult ExperimentRunner::run_custom(
     const std::string& name,
     const std::function<std::unique_ptr<L2Interface>()>& builder,
     std::optional<std::uint64_t> design_hash) const {
-  return run_custom_impl(name, builder, design_hash, jobs);
-}
-
-SchemeSuiteResult ExperimentRunner::run_custom_impl(
-    const std::string& name,
-    const std::function<std::unique_ptr<L2Interface>()>& builder,
-    std::optional<std::uint64_t> design_hash, unsigned exec_jobs) const {
-  SchemeSuiteResult out;
-  out.name = name;
-
-  SweepExecutor ex(exec_jobs);
-  if (design_hash && memoizable()) {
-    std::vector<SimResult> results = memoized_map(
-        ex, result_store, cell_keys(*design_hash), [&](std::size_t i) {
-          return checked_simulate(*traces_[i], builder(), sim_options);
-        });
-    out.per_workload.reserve(results.size());
-    double miss_sum = 0.0;
-    for (SimResult& r : results) {
-      miss_sum += r.l2_miss_rate();
-      out.per_workload.push_back(std::move(r));
-    }
-    if (!traces_.empty())
-      out.avg_miss_rate = miss_sum / static_cast<double>(traces_.size());
-    return out;
-  }
-
-  std::vector<SuiteCell> cells = ex.map(traces_.size(), [&](std::size_t i) {
-    SimOptions opts = sim_options;
-    SuiteCell cell;
-    if (collect_telemetry) {
-      cell.tel = std::make_shared<Telemetry>();
-      cell.tel->set_sample_interval(telemetry_sample_interval);
-      opts.telemetry = cell.tel.get();
-    }
-    cell.res = checked_simulate(*traces_[i], builder(), opts);
-    return cell;
-  });
-
-  out.per_workload.reserve(cells.size());
-  double miss_sum = 0.0;
-  for (SuiteCell& cell : cells) {
-    miss_sum += cell.res.l2_miss_rate();
-    out.per_workload.push_back(std::move(cell.res));
-    if (collect_telemetry)
-      out.per_workload_telemetry.push_back(std::move(cell.tel));
-  }
-  if (!traces_.empty())
-    out.avg_miss_rate = miss_sum / static_cast<double>(traces_.size());
-  return out;
+  return std::move(
+      run_designs({DesignSpec{name, builder, design_hash, std::nullopt}})
+          .front());
 }
 
 bool ExperimentRunner::shares_front_end() const {
@@ -205,40 +126,12 @@ ExperimentRunner::run_designs_outcomes(
     const std::vector<DesignSpec>& specs, bool keep_going,
     const std::function<void(std::size_t)>& point_hook) const {
   const std::size_t n = specs.size();
-  if (shares_front_end())
-    return run_designs_shared(specs, keep_going, point_hook);
-
-  // Per-point fallback: specs across `jobs` workers, each spec a serial
-  // suite evaluation — exactly the outer-executor / inner-serial structure
-  // the sweep benches ran before batching existed, so results AND
-  // result-store traffic are unchanged.
-  SweepExecutor ex(jobs);
-  auto point = [&](std::size_t s) {
-    if (point_hook) point_hook(s);
-    SchemeSuiteResult r = run_custom_impl(specs[s].name, specs[s].build,
-                                          specs[s].design_hash,
-                                          /*exec_jobs=*/1);
-    if (specs[s].kind) r.kind = *specs[s].kind;
-    return r;
-  };
-  if (keep_going) return ex.map_outcomes(n, point);
-  std::vector<SchemeSuiteResult> values = ex.map(n, point);
-  std::vector<PointOutcome<SchemeSuiteResult>> out(n);
-  for (std::size_t s = 0; s < n; ++s) out[s].value = std::move(values[s]);
-  return out;
-}
-
-std::vector<PointOutcome<SchemeSuiteResult>>
-ExperimentRunner::run_designs_shared(
-    const std::vector<DesignSpec>& specs, bool keep_going,
-    const std::function<void(std::size_t)>& point_hook) const {
-  const std::size_t n = specs.size();
   const std::size_t w_count = traces_.size();
   std::vector<PointOutcome<SchemeSuiteResult>> out(n);
 
   // Point hooks (chaos injection) run up front in ascending spec order:
   // fail-fast therefore throws the lowest-indexed hook failure
-  // deterministically, matching the serial per-point sweep.
+  // deterministically.
   std::vector<char> live(n, 1);
   if (point_hook) {
     for (std::size_t s = 0; s < n; ++s) {
@@ -252,47 +145,73 @@ ExperimentRunner::run_designs_shared(
     }
   }
 
-  // Warm cells come straight from the store under the *same* content keys
-  // run_custom uses, so any store resumes any sweep. Keep-going
-  // deliberately does not consult poison records here: the per-point
-  // fallback (fail-fast memoized_map inside each point) never does either,
-  // and equivalence wins over quarantine reuse.
+  // A spec's failure is attributed to its lowest failing workload. Cells
+  // run concurrently, so the (workload, failure) pair is kept under a lock.
+  std::mutex mu;
+  std::vector<std::optional<std::pair<std::size_t, PointFailure>>> spec_fail(n);
+  auto note_failure = [&](std::size_t s, std::size_t w, PointFailure f) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto& slot = spec_fail[s];
+    if (!slot || w < slot->first) slot = std::make_pair(w, std::move(f));
+  };
+
+  // Every cell is served from the store under its content key when it can
+  // be, so any store resumes any sweep. A keep-going sweep also honours
+  // poison records: a quarantined cell fails its spec without running
+  // (ResultStore::lookup_failure, which --retry-failed disables).
   const bool memo = memoizable();
+  const bool poison = memo && keep_going;
   std::vector<std::vector<std::uint64_t>> keys(n);
   std::vector<std::optional<SimResult>> cells(n * w_count);
+  std::vector<std::shared_ptr<Telemetry>> sessions(n * w_count);
   std::vector<std::vector<std::size_t>> missing(w_count);
   for (std::size_t s = 0; s < n; ++s) {
     if (!live[s]) continue;
-    const bool spec_memo = memo && specs[s].design_hash.has_value();
-    if (spec_memo) keys[s] = cell_keys(*specs[s].design_hash);
+    if (memo && specs[s].design_hash)
+      keys[s] = cell_keys(*specs[s].design_hash);
     for (std::size_t w = 0; w < w_count; ++w) {
-      if (spec_memo) {
+      if (!keys[s].empty()) {
         if (auto hit = result_store->lookup(keys[s][w])) {
           cells[s * w_count + w] = std::move(*hit);
           continue;
+        }
+        if (poison) {
+          if (auto stored = result_store->lookup_failure(keys[s][w])) {
+            note_failure(s, w,
+                         PointFailure{s, std::move(stored->error_type),
+                                      std::move(stored->message),
+                                      /*quarantined=*/true});
+            continue;
+          }
         }
       }
       missing[w].push_back(s);
     }
   }
 
-  // A replay unit: one chunk of a workload's missing specs.
+  // A finished cell is validated and persisted by the worker that computed
+  // it; a failed one is poisoned at that moment (keep-going only), so a
+  // drain or crash later in the sweep loses nothing already decided.
+  auto cell_done = [&](std::size_t s, std::size_t w, SimResult r) {
+    validate_sim_result_finite(r);
+    if (!keys[s].empty()) result_store->store(keys[s][w], r);
+    cells[s * w_count + w] = std::move(r);
+  };
+  auto cell_failed = [&](std::size_t s, std::size_t w,
+                         const std::exception_ptr& e) {
+    if (poison && !keys[s].empty()) {
+      result_store->store_failure(
+          keys[s][w], StoredFailure{error_type_of(e), error_message_of(e)});
+    }
+    note_failure(s, w, point_failure_from(s, e));
+  };
+
+  // A work unit: one chunk of a workload's missing specs, replayed from the
+  // workload's demand stream, or a single cell simulated on its own when
+  // the configuration cannot share the front end (stream == nullptr).
   struct Unit {
     std::size_t w, begin, end;  ///< missing[w][begin, end)
     const DemandStream* stream = nullptr;
-  };
-
-  // A spec's failure is attributed to its lowest failing workload — the
-  // per-point path's serial inner sweep surfaces exactly that one. Units
-  // run concurrently, so the (workload, error) pair is kept under a lock.
-  std::mutex mu;
-  std::vector<std::optional<std::pair<std::size_t, std::exception_ptr>>>
-      spec_fail(n);
-  auto note_failure = [&](std::size_t s, std::size_t w,
-                          const std::exception_ptr& e) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto& f = spec_fail[s];
-    if (!f || w < f->first) f = std::make_pair(w, e);
   };
 
   // Replays one chunk of lanes. A lane error is confined to its lane;
@@ -304,8 +223,8 @@ ExperimentRunner::run_designs_shared(
     std::vector<std::size_t> lane_spec;
     designs.reserve(u.end - u.begin);
     std::optional<std::pair<std::size_t, std::exception_ptr>> chunk_err;
-    auto chunk_failed = [&](std::size_t s, const std::exception_ptr& e) {
-      note_failure(s, u.w, e);
+    auto lane_failed = [&](std::size_t s, const std::exception_ptr& e) {
+      cell_failed(s, u.w, e);
       if (!chunk_err || s < chunk_err->first) chunk_err = std::make_pair(s, e);
     };
     for (std::size_t j = u.begin; j < u.end; ++j) {
@@ -315,74 +234,100 @@ ExperimentRunner::run_designs_shared(
         lanes.push_back(designs.back().get());
         lane_spec.push_back(s);
       } catch (...) {
-        chunk_failed(s, std::current_exception());
+        lane_failed(s, std::current_exception());
       }
     }
     std::vector<BatchLaneOutcome> lane_out =
         simulate_batch_lanes(*u.stream, lanes, sim_options);
     for (std::size_t l = 0; l < lane_out.size(); ++l) {
       if (lane_out[l].ok()) {
-        const std::size_t s = lane_spec[l];
         try {
-          SimResult r = std::move(*lane_out[l].result);
-          validate_sim_result_finite(r);
-          if (memo && !keys[s].empty()) result_store->store(keys[s][u.w], r);
-          cells[s * w_count + u.w] = std::move(r);
+          cell_done(lane_spec[l], u.w, std::move(*lane_out[l].result));
           continue;
         } catch (...) {
           lane_out[l].error = std::current_exception();
         }
       }
-      chunk_failed(lane_spec[l], lane_out[l].error);
+      lane_failed(lane_spec[l], lane_out[l].error);
     }
     if (!keep_going && chunk_err) std::rethrow_exception(chunk_err->second);
   };
 
-  // Every workload with a missing point runs its L1 front end once and
-  // replays the stream into its missing specs, in (workload, chunk) units
-  // of <= max(1, sweep_batch) lanes; at sweep_batch 1 every point is its
-  // own unit, so `jobs` workers spread even a single-trace grid. Workloads
-  // go in groups of `jobs`: a group builds its streams in parallel, replays
-  // its units across the workers and drops its streams before the next
-  // group starts, so at most `jobs` streams are alive.
+  // One checked simulate() per cell, with a fresh session when telemetry
+  // is collected.
+  auto simulate_cell = [&](const Unit& u) {
+    const std::size_t s = missing[u.w][u.begin];
+    SimOptions opts = sim_options;
+    std::shared_ptr<Telemetry>& tel = sessions[s * w_count + u.w];
+    if (collect_telemetry) {
+      tel = std::make_shared<Telemetry>();
+      tel->set_sample_interval(telemetry_sample_interval);
+      opts.telemetry = tel.get();
+    }
+    cell_done(s, u.w, simulate(*traces_[u.w], specs[s].build(), opts));
+  };
+
+  // Unit-level failure (stream build, whole-replay or whole-cell error):
+  // every spec of the unit that has no cell yet fails at this workload.
+  // Cancellation is never a cell failure: the run stopped, so it
+  // propagates and poisons nothing.
   auto unit_failed = [&](const Unit& u, const std::exception_ptr& e) {
     if (!keep_going || is_cancellation(e)) std::rethrow_exception(e);
-    // Unit-level failure (stream build, whole-replay error): every spec of
-    // this unit that has no cell yet fails at this workload.
     for (std::size_t j = u.begin; j < u.end; ++j) {
       const std::size_t s = missing[u.w][j];
-      if (!cells[s * w_count + u.w]) note_failure(s, u.w, e);
+      if (!cells[s * w_count + u.w]) cell_failed(s, u.w, e);
     }
   };
+
+  // With a shared front end, every workload with a missing cell runs its
+  // L1 front end once and replays the stream into its missing specs, in
+  // (workload, chunk) units of <= max(1, sweep_batch) lanes; at
+  // sweep_batch 1 every cell is its own unit, so `jobs` workers spread even
+  // a single-trace grid. Workloads go in groups of `jobs`: a group builds
+  // its streams in parallel, replays its units across the workers and
+  // drops its streams before the next group starts, so at most `jobs`
+  // streams are alive. Otherwise every missing cell is one unit, all in one
+  // group.
   std::vector<std::size_t> todo;
   for (std::size_t w = 0; w < w_count; ++w) {
     if (!missing[w].empty()) todo.push_back(w);
   }
   SweepExecutor ex(jobs);
-  const std::size_t lane_cap = std::max(1u, sweep_batch);
-  for (std::size_t g = 0; g < todo.size(); g += ex.jobs()) {
-    const std::size_t g_end = std::min(todo.size(), g + ex.jobs());
-    std::vector<std::optional<DemandStream>> streams =
-        ex.map(g_end - g, [&](std::size_t i) -> std::optional<DemandStream> {
-          const std::size_t w = todo[g + i];
-          try {
-            return build_demand_stream(*traces_[w], sim_options);
-          } catch (...) {
-            unit_failed({w, 0, missing[w].size()}, std::current_exception());
-            return std::nullopt;
-          }
-        });
+  const bool shared = shares_front_end();
+  const std::size_t lane_cap = shared ? std::max(1u, sweep_batch) : 1;
+  const std::size_t group =
+      shared ? ex.jobs() : std::max<std::size_t>(1, todo.size());
+  for (std::size_t g = 0; g < todo.size(); g += group) {
+    const std::size_t g_end = std::min(todo.size(), g + group);
+    std::vector<std::optional<DemandStream>> streams(g_end - g);
+    if (shared) {
+      streams =
+          ex.map(g_end - g, [&](std::size_t i) -> std::optional<DemandStream> {
+            const std::size_t w = todo[g + i];
+            try {
+              return build_demand_stream(*traces_[w], sim_options);
+            } catch (...) {
+              unit_failed({w, 0, missing[w].size()}, std::current_exception());
+              return std::nullopt;
+            }
+          });
+    }
     std::vector<Unit> units;
     for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (!streams[i]) continue;
+      if (shared && !streams[i]) continue;
       const std::size_t w = todo[g + i];
       const std::size_t m = missing[w].size();
-      for (std::size_t pos = 0; pos < m; pos += lane_cap)
-        units.push_back({w, pos, std::min(m, pos + lane_cap), &*streams[i]});
+      for (std::size_t pos = 0; pos < m; pos += lane_cap) {
+        units.push_back({w, pos, std::min(m, pos + lane_cap),
+                         shared ? &*streams[i] : nullptr});
+      }
     }
     ex.for_each(units.size(), [&](std::size_t i) {
       try {
-        replay_chunk(units[i]);
+        if (units[i].stream)
+          replay_chunk(units[i]);
+        else
+          simulate_cell(units[i]);
       } catch (...) {
         unit_failed(units[i], std::current_exception());
       }
@@ -392,8 +337,7 @@ ExperimentRunner::run_designs_shared(
   for (std::size_t s = 0; s < n; ++s) {
     if (!live[s]) continue;
     if (spec_fail[s]) {
-      if (!keep_going) std::rethrow_exception(spec_fail[s]->second);
-      out[s].failure = point_failure_from(s, spec_fail[s]->second);
+      out[s].failure = std::move(spec_fail[s]->second);
       continue;
     }
     SchemeSuiteResult r;
@@ -405,6 +349,10 @@ ExperimentRunner::run_designs_shared(
       SimResult& res = *cells[s * w_count + w];
       miss_sum += res.l2_miss_rate();
       r.per_workload.push_back(std::move(res));
+      if (collect_telemetry) {
+        r.per_workload_telemetry.push_back(
+            std::move(sessions[s * w_count + w]));
+      }
     }
     if (w_count > 0)
       r.avg_miss_rate = miss_sum / static_cast<double>(w_count);
@@ -454,49 +402,24 @@ std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
                                              SchemeKind kind,
                                              const std::vector<double>& rates,
                                              const SchemeParams& tmpl) {
-  // Per-rate parameter sets, rate-0 reference first: the sweep reports
-  // degradation caused by faults, not by the scheme itself. Each is a pure
-  // function of its index, so the flat (rate × workload) sweep below is
-  // execution-order independent.
-  std::vector<SchemeParams> per_rate;
-  per_rate.reserve(rates.size() + 1);
+  // One design per rate, rate-0 reference first: the sweep reports
+  // degradation caused by faults, not by the scheme itself. As one
+  // run_designs() grid every workload runs its L1 front end once for all
+  // rates, under the same keys as per-rate run_scheme() calls.
+  std::vector<DesignSpec> specs;
+  specs.reserve(rates.size() + 1);
   SchemeParams clean = tmpl;
   clean.fault = FaultConfig{};
-  per_rate.push_back(clean);
+  specs.push_back(scheme_design(kind, clean));
   for (double rate : rates) {
     SchemeParams p = tmpl;
     p.fault = FaultConfig::from_rate(rate, tmpl.fault.ecc,
                                      tmpl.fault.way_disable_threshold,
                                      tmpl.fault.seed);
-    per_rate.push_back(p);
+    specs.push_back(scheme_design(kind, p));
   }
-
-  const auto& traces = runner.traces();
-  const std::size_t w_count = traces.size();
-  SweepExecutor ex(runner.jobs);
-  auto cell_fn = [&](std::size_t c) {
-    const SchemeParams& p = per_rate[c / w_count];
-    SimResult r = simulate(*traces[c % w_count], build_scheme(kind, p),
-                           runner.sim_options);
-    validate_sim_result_finite(r);
-    return r;
-  };
-  std::vector<SimResult> cells;
-  if (runner.result_store != nullptr &&
-      !runner.sim_options.l2_eviction_observer) {
-    const std::uint64_t opts = hash_sim_options(runner.sim_options);
-    const std::uint64_t tech = hash_technology(technology());
-    std::vector<std::uint64_t> keys;
-    keys.reserve(per_rate.size() * w_count);
-    for (const SchemeParams& p : per_rate) {
-      const std::uint64_t dh = scheme_design_hash(kind, p);
-      for (const auto& t : traces)
-        keys.push_back(result_point_key(dh, t->fingerprint(), opts, tech));
-    }
-    cells = memoized_map(ex, runner.result_store, keys, cell_fn);
-  } else {
-    cells = ex.map(per_rate.size() * w_count, cell_fn);
-  }
+  const std::vector<SchemeSuiteResult> grid = runner.run_designs(specs);
+  const std::size_t w_count = runner.traces().size();
 
   std::vector<FaultSweepPoint> out;
   out.reserve(rates.size());
@@ -506,8 +429,8 @@ std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
     std::vector<double> e_ratios, t_ratios;
     double miss_sum = 0.0;
     for (std::size_t w = 0; w < w_count; ++w) {
-      const SimResult& s = cells[(ri + 1) * w_count + w];
-      const SimResult& b = cells[w];  // rate-0 reference row
+      const SimResult& s = grid[ri + 1].per_workload[w];
+      const SimResult& b = grid[0].per_workload[w];  // rate-0 reference
       if (b.l2_energy.cache_nj() > 0)
         e_ratios.push_back(s.l2_energy.cache_nj() / b.l2_energy.cache_nj());
       if (b.cycles > 0) {

@@ -35,9 +35,9 @@ class ResultStore;
 /// One point of a multi-design sweep grid (ExperimentRunner::run_designs): a
 /// named L2 factory plus its memoization identity. The factory is invoked
 /// once per workload, possibly from worker threads — building fresh objects
-/// from captured read-only state is the contract (same as run_custom's
-/// builder). `design_hash` opts the point into result-store memoization;
-/// `kind` is carried onto SchemeSuiteResult::kind when set.
+/// from captured read-only state is the contract. `design_hash` opts the
+/// point into result-store memoization; `kind` is carried onto
+/// SchemeSuiteResult::kind when set.
 struct DesignSpec {
   std::string name;
   std::function<std::unique_ptr<L2Interface>()> build;
@@ -52,7 +52,7 @@ DesignSpec scheme_design(SchemeKind kind, const SchemeParams& params = {});
 
 /// Throws NumericError (naming the scheme and workload) when any
 /// energy/timing lane of `r` is NaN or infinite. The runner calls this on
-/// every simulate() return — before the result can reach a result store,
+/// every computed cell — before the result can reach a result store,
 /// a JSON artifact, or a normalization divide — so numeric garbage fails
 /// the point loudly instead of silently poisoning downstream aggregates.
 void validate_sim_result_finite(const SimResult& r);
@@ -92,13 +92,14 @@ class ExperimentRunner {
   /// synthesizing a suite.
   explicit ExperimentRunner(std::vector<Trace> traces);
 
-  /// Runs one scheme (fresh L2 per workload via the factory).
+  /// Runs one scheme: run_designs() over its scheme_design() spec.
   SchemeSuiteResult run_scheme(SchemeKind kind,
                                const SchemeParams& params = {}) const;
 
-  /// Runs a custom design. The builder is invoked once per workload — from
-  /// worker threads when jobs != 1, so it must be safe to call concurrently
-  /// (building fresh objects from captured read-only state is fine).
+  /// Runs a custom design: run_designs() over one DesignSpec. The builder
+  /// is invoked once per workload — from worker threads when jobs != 1, so
+  /// it must be safe to call concurrently (building fresh objects from
+  /// captured read-only state is fine).
   ///
   /// `design_hash` is the memoization opt-in for custom designs: a content
   /// hash covering every parameter the builder bakes into the design (use
@@ -117,24 +118,33 @@ class ExperimentRunner {
       const SchemeParams& params = {}) const;
 
   /// Runs a sweep grid of designs (one suite evaluation per spec), in spec
-  /// order. With a batch-eligible configuration and telemetry off, each
-  /// workload that misses a point runs the L1 front end once
-  /// (sim/batch.hpp) and replays its demand stream into the missing designs
-  /// in passes of up to max(1, `sweep_batch`) lanes; at most `jobs` streams
-  /// are alive at a time. Otherwise each spec runs exactly like
-  /// `run_custom(spec.name, spec.build, spec.design_hash)` on a serial inner
-  /// executor, with the specs sharded across `jobs` workers. Both paths
-  /// produce byte-identical SchemeSuiteResults and result-store artifacts
-  /// (docs/SWEEP_ENGINE.md). Fail-fast: the first failing point aborts the
-  /// sweep.
+  /// order. Each (design × workload) cell is served from `result_store`
+  /// when its content key is stored; the missing cells are computed, then
+  /// validated (validate_sim_result_finite) and persisted by the worker
+  /// that computed them. With a batch-eligible configuration and
+  /// collect_telemetry off, each workload that misses a cell runs the L1
+  /// front end once (sim/batch.hpp) and replays its demand stream into the
+  /// missing designs in passes of up to max(1, `sweep_batch`) lanes; at
+  /// most `jobs` streams are alive at a time. Otherwise (inclusive L2,
+  /// prefetcher, a telemetry session) each missing cell is one simulate()
+  /// call, the cells sharded across `jobs` workers; a caller-supplied
+  /// `sim_options.telemetry` session is shared by those calls, so give it
+  /// one cell per call or `jobs` 1. Both strategies produce byte-identical
+  /// SchemeSuiteResults and result-store records (docs/SWEEP_ENGINE.md).
+  /// Fail-fast: the first failing cell aborts the sweep.
   std::vector<SchemeSuiteResult> run_designs(
       const std::vector<DesignSpec>& specs) const;
 
   /// Keep-going flavour of run_designs(): a failing spec becomes a
   /// PointFailure in its outcome slot (index = spec index) instead of
-  /// aborting; cancellation still propagates. `point_hook`, when set, runs
-  /// at the start of every spec's work (chaos injection seam — a throwing
-  /// hook fails that spec). With keep_going == false this *is*
+  /// aborting, attributed to the spec's lowest failing workload;
+  /// cancellation still propagates and poisons nothing. With a memoizable
+  /// store, a failing cell is persisted as a poison record when it fails,
+  /// and a cell with a poison record (ResultStore::lookup_failure, which
+  /// honours retry_failed) is not run: it fails its spec with
+  /// PointFailure::quarantined set. `point_hook`, when set, runs for every
+  /// spec in ascending order before any cell (chaos injection seam — a
+  /// throwing hook fails that spec). With keep_going == false this *is*
   /// run_designs(), returned in outcome form.
   std::vector<PointOutcome<SchemeSuiteResult>> run_designs_outcomes(
       const std::vector<DesignSpec>& specs, bool keep_going,
@@ -179,10 +189,11 @@ class ExperimentRunner {
   /// scheme-internal epochs sample; see Telemetry::set_sample_interval).
   std::uint64_t telemetry_sample_interval = 0;
 
-  /// Persistent memoization of completed cells (null = off). Only plain
-  /// result cells are memoized: runs collecting telemetry or carrying an
-  /// eviction observer always simulate, because a cached SimResult cannot
-  /// replay their side channels.
+  /// Persistent memoization of completed cells (null = off). Runs with
+  /// collect_telemetry always simulate, because a cached SimResult cannot
+  /// replay their sessions. A caller-supplied `sim_options.telemetry`
+  /// session does not opt out: a stored cell is served and never reaches
+  /// it.
   ResultStore* result_store = nullptr;
 
   /// Design lanes per demand-stream replay pass in run_designs()/
@@ -199,13 +210,6 @@ class ExperimentRunner {
   bool memoizable() const;
   /// Eligible for one shared front-end pass per workload (any sweep_batch).
   bool shares_front_end() const;
-  SchemeSuiteResult run_custom_impl(
-      const std::string& name,
-      const std::function<std::unique_ptr<L2Interface>()>& builder,
-      std::optional<std::uint64_t> design_hash, unsigned exec_jobs) const;
-  std::vector<PointOutcome<SchemeSuiteResult>> run_designs_shared(
-      const std::vector<DesignSpec>& specs, bool keep_going,
-      const std::function<void(std::size_t)>& point_hook) const;
   /// Per-cell content keys for a (design × workload) grid slice.
   std::vector<std::uint64_t> cell_keys(std::uint64_t design_hash) const;
 
@@ -234,7 +238,9 @@ struct FaultSweepPoint {
 /// quarantine threshold, seed); each point swaps in
 /// FaultConfig::from_rate(rate, ...) derived from it. rates containing 0.0
 /// produce an exactly-1.0 normalized point — the bit-identity anchor.
-/// Executes as one flat (rate × workload) sweep on `runner.jobs` workers.
+/// Executes as one runner.run_designs() grid of scheme_design(kind, p)
+/// specs, one per rate, so the cells share result-store records with
+/// run_scheme() and each workload's L1 front end runs once.
 std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
                                              SchemeKind kind,
                                              const std::vector<double>& rates,

@@ -200,9 +200,9 @@ std::string MobcacheDaemon::run_request(const ServiceRequest& rq) {
     return fleet_response_line(rq.id, rq.fleet_scheme, fr) + "\n";
   }
 
-  // Same content keys and result bytes as `mobcache_simrun` plain mode:
-  // the runner's scheme_design hash over default SchemeParams matches the
-  // CLI's, so one store serves both producers interchangeably.
+  // The same execution path as `mobcache_simrun` plain mode: both run
+  // scheme_design() specs through ExperimentRunner::run_designs_outcomes,
+  // so one store serves both producers with the same keys and bytes.
   ExperimentRunner runner(rq.apps, rq.records, rq.seed);
   runner.jobs = effective_jobs(cfg_.jobs);
   runner.result_store = store_.get();

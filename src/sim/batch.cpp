@@ -111,9 +111,9 @@ struct Supervisor {
 bool batch_eligible(const SimOptions& opts) {
   // The L1 front end is lane-invariant only when nothing flows back from the
   // L2 (no inclusion back-invalidation) and no per-lane side channel
-  // (prefetcher training, telemetry, eviction observers) is attached.
+  // (prefetcher training, telemetry) is attached.
   return !opts.hierarchy.inclusive_l2 && !opts.hierarchy.prefetch.enabled &&
-         opts.telemetry == nullptr && !opts.l2_eviction_observer;
+         opts.telemetry == nullptr;
 }
 
 namespace {

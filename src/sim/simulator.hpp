@@ -62,11 +62,6 @@ struct SimOptions {
   /// global_cancel_token() — the one SIGINT/SIGTERM flips — so every run is
   /// interruptible by default at one relaxed atomic load per ~65k accesses.
   const CancelToken* cancel = nullptr;
-  /// Optional eviction observer installed on the L2 before the run.
-  /// Deprecated shim: prefer `telemetry` + ObserverHub::on_eviction, which
-  /// multicasts and carries the run context. Kept working — it is installed
-  /// first (replacing direct observers), before any hub bridge.
-  std::function<void(const EvictionEvent&)> l2_eviction_observer;
   /// Optional observability session (obs/telemetry.hpp). When set, the L2 is
   /// attached (scheme-internal events flow to it), evictions are bridged to
   /// the hub, and — if the session's sample_interval is nonzero — an

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -107,10 +108,6 @@ TEST(BatchEligible, AnyL2ToL1ChannelDisqualifies) {
   Telemetry session;
   telemetry.telemetry = &session;
   EXPECT_FALSE(batch_eligible(telemetry));
-
-  SimOptions observer;
-  observer.l2_eviction_observer = [](const EvictionEvent&) {};
-  EXPECT_FALSE(batch_eligible(observer));
 }
 
 // ---- demand stream -------------------------------------------------------
@@ -148,23 +145,38 @@ TEST(BatchSim, MixedSchemeBatchMatchesSimulateForEveryScheme) {
   const Trace trace = generate_app_trace(AppId::Browser, 40'000, 11);
   const SimOptions opts;
 
-  // All nine schemes as lanes of ONE batch — the mixed-kind stress case.
+  // Every scheme, clean and under fault injection (rates {0.001, 0.01} x
+  // ECC {none, secded}, way-disable threshold 4), as lanes of ONE batch —
+  // the mixed-kind stress case.
+  std::vector<std::pair<SchemeKind, SchemeParams>> points;
+  for (int k = 0; k < kSchemeCount; ++k) {
+    const auto kind = static_cast<SchemeKind>(k);
+    points.emplace_back(kind, SchemeParams{});
+    for (double rate : {0.001, 0.01}) {
+      for (EccKind ecc : {EccKind::None, EccKind::Secded}) {
+        SchemeParams p;
+        p.fault = FaultConfig::from_rate(rate, ecc, /*threshold=*/4, 1);
+        points.emplace_back(kind, p);
+      }
+    }
+  }
   std::vector<std::unique_ptr<L2Interface>> designs;
   std::vector<L2Interface*> lanes;
-  for (int k = 0; k < kSchemeCount; ++k) {
-    designs.push_back(build_scheme(static_cast<SchemeKind>(k)));
+  for (const auto& [kind, params] : points) {
+    designs.push_back(build_scheme(kind, params));
     lanes.push_back(designs.back().get());
   }
   const std::vector<SimResult> batched = simulate_batch(trace, lanes, opts);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(kSchemeCount));
+  ASSERT_EQ(batched.size(), points.size());
 
-  for (int k = 0; k < kSchemeCount; ++k) {
-    const std::unique_ptr<L2Interface> ref =
-        build_scheme(static_cast<SchemeKind>(k));
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& [kind, params] = points[i];
+    const std::unique_ptr<L2Interface> ref = build_scheme(kind, params);
     const SimResult expect = simulate(trace, *ref, opts);
-    EXPECT_EQ(result_to_record_json(batched[static_cast<std::size_t>(k)]),
-              result_to_record_json(expect))
-        << "scheme " << scheme_name(static_cast<SchemeKind>(k));
+    EXPECT_EQ(result_to_record_json(batched[i]), result_to_record_json(expect))
+        << "scheme " << scheme_name(kind) << " fault rate "
+        << params.fault.write_fault_prob << " ecc "
+        << to_string(params.fault.ecc);
   }
 }
 
@@ -403,6 +415,73 @@ TEST(RunnerBatch, PerPointGridSharesOneFrontEndPass) {
   EXPECT_EQ(run_counting(r, plus_one, got), apps.size());
   ASSERT_EQ(got.size(), plus_one.size());
   expect_suite_equal(got.back(), new_expect[0]);
+}
+
+TEST(RunnerBatch, KeepGoingStoreSweepQuarantinesAFailedCellOnResume) {
+  // A keep-going runner sweep over a store poisons the cells of a design
+  // that fails mid-replay; the resume serves every good cell as a hit and
+  // the bad design from its poison records, so nothing runs at all — not
+  // even a front-end pass. --retry-failed re-runs exactly the bad cells.
+  // Two workers, so cells fail and are poisoned concurrently.
+  for (bool inclusive : {false, true}) {
+    SCOPED_TRACE(inclusive ? "per-cell" : "shared front end");
+    ScopedDir tmp("quarantine");
+    std::atomic<int> bad_builds{0};
+    std::vector<DesignSpec> specs = mixed_grid();
+    DesignSpec bad;
+    bad.name = "bad";
+    bad.build = [&bad_builds] {
+      ++bad_builds;
+      return std::make_unique<HookedL2>(
+          build_scheme(SchemeKind::BaselineSram), [](std::uint64_t n) {
+            if (n == 100) throw NumericError("injected lane fault");
+          });
+    };
+    bad.design_hash = 0xbadu;
+    specs.insert(specs.begin() + 1, std::move(bad));
+    auto runner = [&](ResultStore& store) {
+      ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
+      r.sim_options.hierarchy.inclusive_l2 = inclusive;
+      r.result_store = &store;
+      r.jobs = 2;
+      return r;
+    };
+
+    {
+      ResultStore store(tmp.path().string());
+      const auto cold =
+          runner(store).run_designs_outcomes(specs, /*keep_going=*/true);
+      ASSERT_FALSE(cold[1].ok());
+      EXPECT_FALSE(cold[1].failure->quarantined);
+      EXPECT_EQ(bad_builds, 2);
+      EXPECT_EQ(store.stats().poison_stores, 2u);
+      EXPECT_EQ(store.stats().stores, (specs.size() - 1) * 2);
+    }
+
+    bad_builds = 0;
+    ResultStore store(tmp.path().string());
+    const std::uint64_t passes = front_end_passes();
+    const auto resumed =
+        runner(store).run_designs_outcomes(specs, /*keep_going=*/true);
+    EXPECT_EQ(front_end_passes(), passes);
+    EXPECT_EQ(bad_builds, 0);
+    ASSERT_EQ(resumed.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      EXPECT_EQ(resumed[i].ok(), i != 1) << "spec " << i;
+    ASSERT_TRUE(resumed[1].failure.has_value());
+    EXPECT_TRUE(resumed[1].failure->quarantined);
+    EXPECT_EQ(resumed[1].failure->index, 1u);
+    EXPECT_EQ(resumed[1].failure->error_type, "numeric");
+    EXPECT_EQ(store.stats().hits, (specs.size() - 1) * 2);
+    EXPECT_EQ(store.stats().poison_hits, 2u);
+
+    store.set_retry_failed(true);
+    const auto retried =
+        runner(store).run_designs_outcomes(specs, /*keep_going=*/true);
+    EXPECT_EQ(bad_builds, 2);
+    ASSERT_FALSE(retried[1].ok());
+    EXPECT_FALSE(retried[1].failure->quarantined);
+  }
 }
 
 // ---- result-store interchange --------------------------------------------

@@ -323,59 +323,6 @@ TEST(ObsEndToEnd, DynamicEpochSeriesMatchesAllocationHistory) {
             hist.size());
 }
 
-TEST(ObsEndToEnd, LegacyObserverAndHubSeeIdenticalEvictionStreams) {
-  // The shrunk 512 KB scheme overflows on the browser working set, so the
-  // run actually evicts (the 2 MB baseline often never does).
-  const Trace t = generate_app_trace(AppId::Browser, 120'000, 3);
-
-  std::vector<EvictionEvent> via_legacy;
-  {
-    SimOptions opts;
-    opts.l2_eviction_observer = [&](const EvictionEvent& e) {
-      via_legacy.push_back(e);
-    };
-    simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
-  }
-
-  std::vector<EvictionEvent> via_hub;
-  {
-    Telemetry tel;
-    tel.hub().on_eviction(
-        [&](const EvictionEvent& e) { via_hub.push_back(e); });
-    SimOptions opts;
-    opts.telemetry = &tel;
-    simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
-  }
-
-  ASSERT_EQ(via_legacy.size(), via_hub.size());
-  ASSERT_FALSE(via_legacy.empty());
-  for (std::size_t i = 0; i < via_legacy.size(); ++i) {
-    EXPECT_EQ(via_legacy[i].line, via_hub[i].line);
-    EXPECT_EQ(via_legacy[i].evict_cycle, via_hub[i].evict_cycle);
-    EXPECT_EQ(via_legacy[i].fill_cycle, via_hub[i].fill_cycle);
-    EXPECT_EQ(via_legacy[i].owner, via_hub[i].owner);
-    EXPECT_EQ(via_legacy[i].dirty, via_hub[i].dirty);
-  }
-}
-
-TEST(ObsEndToEnd, BothPathsTogetherMulticast) {
-  // The deprecated shim and the hub must coexist: both receive every event.
-  const Trace t = generate_app_trace(AppId::Browser, 120'000, 3);
-  std::uint64_t legacy_count = 0;
-  std::vector<EvictionEvent> via_hub;
-  Telemetry tel;
-  tel.hub().on_eviction([&](const EvictionEvent& e) { via_hub.push_back(e); });
-  SimOptions opts;
-  opts.l2_eviction_observer = [&](const EvictionEvent&) { ++legacy_count; };
-  opts.telemetry = &tel;
-  simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
-
-  EXPECT_GT(legacy_count, 0u);
-  EXPECT_EQ(legacy_count, via_hub.size());
-  EXPECT_EQ(legacy_count,
-            tel.metrics().counters().at("l2.evictions").value());
-}
-
 TEST(ObsEndToEnd, RunnerCollectsAndMergesTelemetry) {
   ExperimentRunner runner({AppId::Browser, AppId::Launcher}, 60'000, 5);
   runner.collect_telemetry = true;

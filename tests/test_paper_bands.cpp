@@ -9,6 +9,7 @@
 #include "core/multi_retention_l2.hpp"
 #include "core/partition_autosizer.hpp"
 #include "exp/runner.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/multicore.hpp"
 #include "workload/scenario.hpp"
 
@@ -84,8 +85,10 @@ TEST_F(Bands, E9HeadlineSavingsAndOrdering) {
 
 TEST(BandsStandalone, E5LifetimeAsymmetry) {
   LifetimeRecorder rec;
+  Telemetry tel;
+  tel.hub().on_eviction(rec.observer());
   SimOptions opts;
-  opts.l2_eviction_observer = rec.observer();
+  opts.telemetry = &tel;
   const Trace t = generate_app_trace(AppId::Email, kLen, 42);
   simulate(t, build_scheme(SchemeKind::StaticPartSram), opts);
   ASSERT_GT(rec.events(Mode::Kernel), 100u);

@@ -241,6 +241,39 @@ TEST_F(ResultStoreTest, CorruptRecordIsSkippedAndRecomputed) {
   EXPECT_EQ(repaired.stats().corrupt_skipped, 0u);
 }
 
+/// The two ways ExperimentRunner::run_designs_outcomes computes a missing
+/// cell: replayed from the workload's shared L1 front end (default options),
+/// or one simulate() per cell (an inclusive L2 cannot share the front end).
+/// The store behaviour under test must not depend on which one runs.
+struct CellStrategy {
+  const char* name;
+  bool inclusive_l2;
+};
+constexpr CellStrategy kCellStrategies[] = {{"shared", false},
+                                            {"per-cell", true}};
+
+ExperimentRunner strategy_runner(const CellStrategy& st, ResultStore* store,
+                                 std::vector<AppId> apps = {AppId::Launcher,
+                                                            AppId::Email}) {
+  ExperimentRunner r(std::move(apps), 5000, 42);
+  r.sim_options.hierarchy.inclusive_l2 = st.inclusive_l2;
+  r.result_store = store;
+  return r;
+}
+
+/// scheme_design(kind) whose builder counts its calls (one per computed
+/// cell) and throws NumericError("injected") while `*fail` is set.
+DesignSpec counted_design(SchemeKind kind, int& builds,
+                          const bool* fail = nullptr) {
+  DesignSpec d = scheme_design(kind);
+  d.build = [kind, &builds, fail] {
+    ++builds;
+    if (fail != nullptr && *fail) throw NumericError("injected");
+    return build_scheme(kind);
+  };
+  return d;
+}
+
 TEST_F(ResultStoreTest, TruncatedRecordIsCorrupt) {
   {
     ResultStore store(dir());
@@ -257,30 +290,38 @@ TEST_F(ResultStoreTest, TruncatedRecordIsCorrupt) {
 }
 
 TEST_F(ResultStoreTest, MemoizedMapServesHitsAndPersistsMisses) {
-  const std::vector<std::uint64_t> keys = {101, 102, 103, 104};
-  int computed = 0;
-  const auto fn = [&](std::size_t i) {
-    ++computed;
-    SimResult r = sample_result();
-    r.cycles = 1000 + i;
-    return r;
-  };
+  // A cold grid computes and persists every cell; a warm pass through a
+  // reopened store computes none and serves identical results.
+  for (const CellStrategy& st : kCellStrategies) {
+    SCOPED_TRACE(st.name);
+    const std::string sdir = dir() + "/" + st.name;
+    int builds = 0;
+    std::vector<DesignSpec> specs;
+    for (SchemeKind k : {SchemeKind::BaselineSram, SchemeKind::ShrunkSram,
+                         SchemeKind::StaticPartMrstt, SchemeKind::DynamicStt})
+      specs.push_back(counted_design(k, builds));
 
-  SweepExecutor ex(1);
-  ResultStore store(dir());
-  const std::vector<SimResult> cold = memoized_map(ex, &store, keys, fn);
-  ASSERT_EQ(cold.size(), 4u);
-  EXPECT_EQ(computed, 4);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(cold[i].cycles, 1000 + i);
+    std::vector<SchemeSuiteResult> cold;
+    {
+      ResultStore store(sdir);
+      cold = strategy_runner(st, &store).run_designs(specs);
+      EXPECT_EQ(builds, 8);
+      EXPECT_EQ(store.stats().stores, 8u);
+    }
 
-  // Warm pass through a reopened store: nothing recomputes, results match.
-  computed = 0;
-  ResultStore warm_store(dir());
-  const std::vector<SimResult> warm = memoized_map(ex, &warm_store, keys, fn);
-  EXPECT_EQ(computed, 0);
-  for (std::size_t i = 0; i < 4; ++i)
-    expect_equal(cold[i], warm[i]);
-  EXPECT_EQ(warm_store.stats().hits, 4u);
+    builds = 0;
+    ResultStore warm_store(sdir);
+    const std::vector<SchemeSuiteResult> warm =
+        strategy_runner(st, &warm_store).run_designs(specs);
+    EXPECT_EQ(builds, 0);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+      ASSERT_EQ(warm[i].per_workload.size(), 2u);
+      for (std::size_t w = 0; w < 2; ++w)
+        expect_equal(cold[i].per_workload[w], warm[i].per_workload[w]);
+    }
+    EXPECT_EQ(warm_store.stats().hits, 8u);
+  }
 }
 
 TEST_F(ResultStoreTest, KilledSweepResumesByteIdentical) {
@@ -382,137 +423,156 @@ TEST_F(ResultStoreTest, ValueStoreRehabilitatesAPoisonedKey) {
 }
 
 TEST_F(ResultStoreTest, MemoizedMapOutcomesQuarantinesKnownBadPoints) {
-  const std::vector<std::uint64_t> keys = {11, 12, 13};
-  int computed = 0;
-  const auto fn = [&](std::size_t i) -> SimResult {
-    ++computed;
-    if (i == 1) throw NumericError("injected");
-    SimResult r = sample_result();
-    r.cycles = 2000 + i;
-    return r;
-  };
+  // A keep-going store-backed grid poisons each failing cell as it fails;
+  // a resume serves the good cells as hits and the bad spec from its poison
+  // records without running anything.
+  const bool always = true;
+  for (const CellStrategy& st : kCellStrategies) {
+    SCOPED_TRACE(st.name);
+    const std::string sdir = dir() + "/" + st.name;
+    int builds = 0;
+    const std::vector<DesignSpec> specs = {
+        counted_design(SchemeKind::BaselineSram, builds),
+        counted_design(SchemeKind::ShrunkSram, builds, &always),
+        counted_design(SchemeKind::DynamicStt, builds)};
 
-  SweepExecutor ex(1);
-  {
-    ResultStore store(dir());
-    const auto cold = memoized_map_outcomes(ex, &store, keys, fn);
-    ASSERT_EQ(cold.size(), 3u);
-    EXPECT_EQ(computed, 3);
-    EXPECT_TRUE(cold[0].ok());
-    ASSERT_FALSE(cold[1].ok());
-    EXPECT_EQ(cold[1].failure->error_type, "numeric");
-    EXPECT_FALSE(cold[1].failure->quarantined);  // fresh failure, not cached
-    EXPECT_TRUE(cold[2].ok());
+    PointFailure fresh;
+    {
+      ResultStore store(sdir);
+      const auto cold = strategy_runner(st, &store).run_designs_outcomes(
+          specs, /*keep_going=*/true);
+      ASSERT_EQ(cold.size(), 3u);
+      EXPECT_EQ(builds, 6);
+      EXPECT_TRUE(cold[0].ok());
+      ASSERT_FALSE(cold[1].ok());
+      EXPECT_EQ(cold[1].failure->error_type, "numeric");
+      EXPECT_NE(cold[1].failure->message.find("injected"), std::string::npos);
+      EXPECT_FALSE(cold[1].failure->quarantined);  // fresh, not cached
+      EXPECT_TRUE(cold[2].ok());
+      EXPECT_EQ(store.stats().poison_stores, 2u);  // one per workload
+      fresh = *cold[1].failure;
+    }
+
+    // Resume against the same directory: nothing is built at all.
+    builds = 0;
+    ResultStore warm(sdir);
+    const auto resumed = strategy_runner(st, &warm).run_designs_outcomes(
+        specs, /*keep_going=*/true);
+    EXPECT_EQ(builds, 0);
+    EXPECT_TRUE(resumed[0].ok());
+    ASSERT_FALSE(resumed[1].ok());
+    EXPECT_TRUE(resumed[1].failure->quarantined);
+    EXPECT_EQ(resumed[1].failure->index, 1u);
+    EXPECT_EQ(resumed[1].failure->error_type, "numeric");
+    EXPECT_EQ(resumed[1].failure->message, fresh.message);
+    EXPECT_TRUE(resumed[2].ok());
+    EXPECT_EQ(warm.stats().hits, 4u);
+    EXPECT_EQ(warm.stats().poison_hits, 2u);
   }
-
-  // Resume against the same directory: values hit, the bad point is served
-  // from its poison record — fn must not run at all.
-  computed = 0;
-  ResultStore warm(dir());
-  const auto resumed = memoized_map_outcomes(ex, &warm, keys, fn);
-  EXPECT_EQ(computed, 0);
-  EXPECT_TRUE(resumed[0].ok());
-  ASSERT_FALSE(resumed[1].ok());
-  EXPECT_TRUE(resumed[1].failure->quarantined);
-  EXPECT_EQ(resumed[1].failure->index, 1u);
-  EXPECT_EQ(resumed[1].failure->error_type, "numeric");
-  EXPECT_EQ(resumed[1].failure->message, "injected");
-  EXPECT_EQ(warm.stats().hits, 2u);
-  EXPECT_EQ(warm.stats().poison_hits, 1u);
 }
 
 TEST_F(ResultStoreTest, RetryFailedReRunsQuarantinedPoints) {
-  const std::vector<std::uint64_t> keys = {21};
-  bool fail = true;
-  int computed = 0;
-  const auto fn = [&](std::size_t) -> SimResult {
-    ++computed;
-    if (fail) throw NumericError("transient");
-    return sample_result();
-  };
+  for (const CellStrategy& st : kCellStrategies) {
+    SCOPED_TRACE(st.name);
+    const std::string sdir = dir() + "/" + st.name;
+    bool fail = true;
+    int builds = 0;
+    const std::vector<DesignSpec> specs = {
+        counted_design(SchemeKind::StaticPartMrstt, builds, &fail)};
+    {
+      ResultStore store(sdir);
+      (void)strategy_runner(st, &store).run_designs_outcomes(
+          specs, /*keep_going=*/true);
+      EXPECT_EQ(store.stats().poison_stores, 2u);
+    }
 
-  SweepExecutor ex(1);
-  {
-    ResultStore store(dir());
-    (void)memoized_map_outcomes(ex, &store, keys, fn);
-    EXPECT_EQ(store.stats().poison_stores, 1u);
+    // The flaky cause is fixed; --retry-failed bypasses the quarantine and
+    // a successful re-run replaces the poison records with values for good.
+    fail = false;
+    builds = 0;
+    {
+      ResultStore store(sdir);
+      store.set_retry_failed(true);
+      const auto out = strategy_runner(st, &store).run_designs_outcomes(
+          specs, /*keep_going=*/true);
+      EXPECT_EQ(builds, 2);
+      EXPECT_TRUE(out[0].ok());
+    }
+    builds = 0;
+    ResultStore healed(sdir);
+    const auto warm = strategy_runner(st, &healed).run_designs_outcomes(
+        specs, /*keep_going=*/true);
+    EXPECT_EQ(builds, 0);
+    EXPECT_TRUE(warm[0].ok());
+    EXPECT_FALSE(warm[0].failure.has_value());
+    EXPECT_EQ(healed.stats().hits, 2u);
+    EXPECT_EQ(healed.stats().poisoned_loaded, 0u);
   }
-
-  // The flaky cause is fixed; --retry-failed bypasses the quarantine and a
-  // successful re-run replaces the poison record with a value for good.
-  fail = false;
-  computed = 0;
-  {
-    ResultStore store(dir());
-    store.set_retry_failed(true);
-    const auto out = memoized_map_outcomes(ex, &store, keys, fn);
-    EXPECT_EQ(computed, 1);
-    EXPECT_TRUE(out[0].ok());
-  }
-  computed = 0;
-  ResultStore healed(dir());
-  const auto warm = memoized_map_outcomes(ex, &healed, keys, fn);
-  EXPECT_EQ(computed, 0);
-  EXPECT_TRUE(warm[0].ok());
-  EXPECT_FALSE(warm[0].failure.has_value());
-  EXPECT_EQ(healed.stats().hits, 1u);
 }
 
 TEST_F(ResultStoreTest, CancelledSweepNeverPoisonsAndResumesByteIdentical) {
   // The SIGTERM-drain contract: cancellation mid-sweep persists the
   // completed prefix, poisons nothing, and a resumed run fills in the rest
   // so the store ends byte-identical to an uninterrupted one.
-  const std::vector<std::uint64_t> keys = {31, 32, 33, 34, 35};
-  const auto fn = [&](std::size_t i) {
-    SimResult r = sample_result();
-    r.cycles = 3000 + i;
-    return r;
-  };
-  const auto cancel_after_two = [&](std::size_t i) {
-    // Requested *during* point 1: the point still completes and persists;
-    // the serial executor's pre-point check then stops 2..4 from running.
-    if (i == 1) global_cancel_token().request_cancel();
-    return fn(i);
-  };
+  for (const CellStrategy& st : kCellStrategies) {
+    SCOPED_TRACE(st.name);
+    const std::vector<SchemeKind> kinds = {
+        SchemeKind::BaselineSram, SchemeKind::ShrunkSram,
+        SchemeKind::DrowsySram, SchemeKind::StaticPartMrstt,
+        SchemeKind::DynamicStt};
+    std::vector<DesignSpec> specs;
+    for (SchemeKind k : kinds) specs.push_back(scheme_design(k));
+    std::vector<DesignSpec> cancel_after_two = specs;
+    // Requested *while building* cell 1: the cell still completes and
+    // persists; the serial executor's pre-cell check then stops 2..4.
+    cancel_after_two[1].build = [] {
+      global_cancel_token().request_cancel();
+      return build_scheme(SchemeKind::ShrunkSram);
+    };
 
-  const fs::path cold_dir = fs::path(dir()) / "cold";
-  const fs::path resumed_dir = fs::path(dir()) / "resumed";
-  SweepExecutor ex(1);
-  {
-    ResultStore store(cold_dir.string());
-    (void)memoized_map_outcomes(ex, &store, keys, fn);
+    const fs::path cold_dir = fs::path(dir()) / st.name / "cold";
+    const fs::path resumed_dir = fs::path(dir()) / st.name / "resumed";
+    const std::vector<AppId> one = {AppId::Launcher};
+    {
+      ResultStore store(cold_dir.string());
+      (void)strategy_runner(st, &store, one)
+          .run_designs_outcomes(specs, /*keep_going=*/true);
+    }
+    {
+      ResultStore store(resumed_dir.string());
+      EXPECT_THROW(strategy_runner(st, &store, one)
+                       .run_designs_outcomes(cancel_after_two,
+                                             /*keep_going=*/true),
+                   CancelledError);
+      global_cancel_token().reset();
+      // Cells 0 and 1 completed and were persisted, 2..4 never ran and
+      // were not poisoned.
+      EXPECT_EQ(store.stats().stores, 2u);
+      EXPECT_EQ(store.stats().poison_stores, 0u);
+    }
+    {
+      ResultStore store(resumed_dir.string());
+      EXPECT_EQ(store.stats().poisoned_loaded, 0u);
+      const auto out = strategy_runner(st, &store, one)
+                           .run_designs_outcomes(specs, /*keep_going=*/true);
+      EXPECT_EQ(store.stats().hits, 2u);
+      for (const auto& o : out) EXPECT_TRUE(o.ok());
+    }
+    auto slurp = [](const fs::path& p) {
+      std::ifstream in(p, std::ios::binary);
+      std::stringstream ss;
+      ss << in.rdbuf();
+      return ss.str();
+    };
+    std::size_t compared = 0;
+    for (const auto& e : fs::directory_iterator(cold_dir)) {
+      const fs::path resumed = resumed_dir / e.path().filename();
+      ASSERT_TRUE(fs::exists(resumed)) << resumed;
+      EXPECT_EQ(slurp(e.path()), slurp(resumed)) << e.path().filename();
+      ++compared;
+    }
+    EXPECT_EQ(compared, specs.size());
   }
-  {
-    ResultStore store(resumed_dir.string());
-    EXPECT_THROW(memoized_map_outcomes(ex, &store, keys, cancel_after_two),
-                 CancelledError);
-    global_cancel_token().reset();
-    // The serial path checks the token before each point: points 0 and 1
-    // completed and were persisted, 2..4 never ran and were not poisoned.
-    EXPECT_EQ(store.stats().stores, 2u);
-    EXPECT_EQ(store.stats().poison_stores, 0u);
-  }
-  {
-    ResultStore store(resumed_dir.string());
-    EXPECT_EQ(store.stats().poisoned_loaded, 0u);
-    const auto out = memoized_map_outcomes(ex, &store, keys, fn);
-    EXPECT_EQ(store.stats().hits, 2u);
-    for (const auto& o : out) EXPECT_TRUE(o.ok());
-  }
-  auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
-  std::size_t compared = 0;
-  for (const auto& e : fs::directory_iterator(cold_dir)) {
-    const fs::path resumed = resumed_dir / e.path().filename();
-    ASSERT_TRUE(fs::exists(resumed)) << resumed;
-    EXPECT_EQ(slurp(e.path()), slurp(resumed)) << e.path().filename();
-    ++compared;
-  }
-  EXPECT_EQ(compared, keys.size());
 }
 
 TEST_F(ResultStoreTest, RunnerMemoizationMatchesDirectRun) {

@@ -13,7 +13,7 @@
 #include "common/table.hpp"
 #include "core/scheme.hpp"
 #include "exp/bench_harness.hpp"
-#include "sim/simulator.hpp"
+#include "exp/runner.hpp"
 #include "workload/suite.hpp"
 
 using namespace mobcache;
@@ -23,9 +23,11 @@ namespace {
 bool check_app(AppId id, std::uint64_t records, std::uint64_t seed,
                TablePrinter& t) {
   const AppSpec spec = make_app(id);
-  const Trace trace = generate_app_trace(id, records, seed);
+  const ExperimentRunner runner({id}, records, seed);
+  const Trace& trace = runner.trace(0);
   const TraceSummary ts = trace.summarize();
-  const SimResult r = simulate(trace, build_scheme(SchemeKind::BaselineSram));
+  const SimResult r =
+      runner.run_scheme(SchemeKind::BaselineSram).per_workload.front();
 
   const bool share_ok = spec.interactive
                             ? r.l2_kernel_fraction() > 0.35 &&

@@ -15,13 +15,18 @@
 /// (default: all) — the shared parse_scheme_kind() vocabulary, so simrun
 /// and the mobcached request protocol accept exactly the same names.
 ///
+/// Every (trace, scheme) point is produced by
+/// ExperimentRunner::run_designs_outcomes, the engine behind the benches
+/// and the mobcached daemon: one L1 front-end pass per trace replayed into
+/// each scheme's L2, the same store keys, poison records and byte-identical
+/// results.
+///
 /// Parallelism (docs/PARALLELISM.md):
-///   --jobs=N                   worker threads for --fault-sweep mode
-///                              (default: MOBCACHE_JOBS env, then hardware
-///                              concurrency). Results are identical for
-///                              every N. The plain per-scheme mode stays
-///                              serial: its telemetry sessions attach to one
-///                              shared trace sink.
+///   --jobs=N                   worker threads (default: MOBCACHE_JOBS env,
+///                              then hardware concurrency). Results are
+///                              identical for every N. With --trace-out,
+///                              --sample or --metrics each scheme runs on
+///                              its own, with its own telemetry session.
 ///
 /// Resumable sweeps (docs/RESULT_STORE.md):
 ///   --store-dir=PATH           serve already-computed (scheme, trace)
@@ -79,15 +84,21 @@
 ///                              so a partial sweep has no meaning.
 ///   --retry-failed             ignore poison records: quarantined points
 ///                              re-run, and a success replaces the poison.
-///   --point-deadline-ms=N      per-run wall-clock budget; an overrunning
-///                              point throws DeadlineExceeded (exit 4, or a
-///                              keep-going failure).
+///   --point-deadline-ms=N      wall-clock budget per phase (the trace's
+///                              front-end pass, each scheme's replay; one
+///                              whole run under --trace-out, --sample or
+///                              --metrics); an overrunning phase throws
+///                              DeadlineExceeded (exit 4, or a keep-going
+///                              failure of the schemes it was running).
 ///
 /// Exit codes (shared guarded_main contract, src/common/error.hpp):
 /// 0 ok, 1 corrupt/unreadable input, 2 usage error, 3 numeric invariant
 /// broken, 4 point deadline exceeded, 5 unexpected exception, 75
 /// interrupted by SIGINT/SIGTERM (resumable — completed points persisted).
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,7 +111,6 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
-#include "energy/technology.hpp"
 #include "exp/bench_harness.hpp"
 #include "exp/fleet.hpp"
 #include "exp/parallel.hpp"
@@ -202,6 +212,42 @@ std::string require_flag_value(const std::string& a, const char* flag,
   return v;
 }
 
+/// Strict whole-string parse of an unsigned integer in [min, max]: a sign,
+/// trailing junk, overflow or a value out of range is a usage error naming
+/// the expected value (`12abc` silently meaning 12 runs the wrong thing).
+std::uint64_t parse_uint(const std::string& v, const char* what,
+                         std::uint64_t min = 0,
+                         std::uint64_t max = UINT64_MAX) {
+  errno = 0;
+  const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
+      errno != 0 || n < min || n > max) {
+    if (max == UINT64_MAX) {
+      std::fprintf(stderr, "%s must be an integer >= %llu, got '%s'\n", what,
+                   static_cast<unsigned long long>(min), v.c_str());
+    } else {
+      std::fprintf(stderr, "%s must be an integer in [%llu, %llu], got '%s'\n",
+                   what, static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max), v.c_str());
+    }
+    std::exit(2);
+  }
+  return n;
+}
+
+/// Strict whole-string parse of a probability in [0, 1].
+double parse_rate(const std::string& v, const char* what) {
+  char* end = nullptr;
+  const double r = std::strtod(v.c_str(), &end);
+  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
+      end != v.c_str() + v.size() || !(r >= 0.0 && r <= 1.0)) {
+    std::fprintf(stderr, "%s must be a number in [0, 1], got '%s'\n", what,
+                 v.c_str());
+    std::exit(2);
+  }
+  return r;
+}
+
 /// Consumes --flags from (argc, argv); returns remaining positional args.
 std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
   std::vector<std::string> positional;
@@ -234,18 +280,13 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
       f.want_metrics = true;
       f.metrics_out = require_flag_value(a, "--metrics=", "a path");
     } else if (a.rfind("--sample=", 0) == 0) {
-      f.sample_interval = std::strtoull(
-          require_flag_value(a, "--sample=", "an interval").c_str(), nullptr,
-          10);
+      f.sample_interval = parse_uint(
+          require_flag_value(a, "--sample=", "an interval"), "--sample");
     } else if (a == "--trace-evictions") {
       f.trace_evictions = true;
     } else if (a.rfind("--fault-rate=", 0) == 0) {
-      f.fault_rate = std::strtod(
-          require_flag_value(a, "--fault-rate=", "a rate").c_str(), nullptr);
-      if (f.fault_rate < 0.0 || f.fault_rate > 1.0) {
-        std::fprintf(stderr, "--fault-rate must be in [0, 1]\n");
-        std::exit(2);
-      }
+      f.fault_rate = parse_rate(
+          require_flag_value(a, "--fault-rate=", "a rate"), "--fault-rate");
     } else if (a.rfind("--ecc=", 0) == 0) {
       const std::string kind = require_flag_value(a, "--ecc=", "a kind");
       if (auto k = parse_ecc_kind(kind)) {
@@ -257,25 +298,20 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
         std::exit(2);
       }
     } else if (a.rfind("--fault-seed=", 0) == 0) {
-      f.fault_seed = std::strtoull(
-          require_flag_value(a, "--fault-seed=", "a seed").c_str(), nullptr,
-          10);
+      f.fault_seed = parse_uint(
+          require_flag_value(a, "--fault-seed=", "a seed"), "--fault-seed");
     } else if (a.rfind("--way-disable-threshold=", 0) == 0) {
-      f.way_disable_threshold = static_cast<std::uint32_t>(std::strtoul(
-          require_flag_value(a, "--way-disable-threshold=", "a count").c_str(),
-          nullptr, 10));
+      f.way_disable_threshold = static_cast<std::uint32_t>(parse_uint(
+          require_flag_value(a, "--way-disable-threshold=", "a count"),
+          "--way-disable-threshold", 0, UINT32_MAX));
     } else if (a.rfind("--fault-sweep=", 0) == 0) {
       for (const std::string& r : split_commas(
                require_flag_value(a, "--fault-sweep=", "at least one rate"))) {
-        f.sweep_rates.push_back(std::strtod(r.c_str(), nullptr));
-      }
-      if (f.sweep_rates.empty()) {
-        std::fprintf(stderr, "--fault-sweep needs at least one rate\n");
-        std::exit(2);
+        f.sweep_rates.push_back(parse_rate(r, "--fault-sweep rate"));
       }
     } else if (a.rfind("--jobs=", 0) == 0) {
-      f.jobs = static_cast<unsigned>(std::strtoul(
-          require_flag_value(a, "--jobs=", "a count").c_str(), nullptr, 10));
+      f.jobs = static_cast<unsigned>(parse_uint(
+          require_flag_value(a, "--jobs=", "a count"), "--jobs", 0, 65536));
     } else if (a.rfind("--store-dir=", 0) == 0) {
       require_flag_value(a, "--store-dir=", "a path");
       f.want_store = true;
@@ -286,9 +322,9 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
     } else if (a == "--retry-failed") {
       f.retry_failed = true;
     } else if (a.rfind("--point-deadline-ms=", 0) == 0) {
-      f.point_deadline_ms = std::strtoull(
-          require_flag_value(a, "--point-deadline-ms=", "a deadline").c_str(),
-          nullptr, 10);
+      f.point_deadline_ms = parse_uint(
+          require_flag_value(a, "--point-deadline-ms=", "a deadline"),
+          "--point-deadline-ms");
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       std::exit(2);
@@ -391,10 +427,14 @@ static int tool_main(int argc, char** argv) {
         argv[0]);
     return 2;
   }
+  if (pos.size() > 4) {
+    std::fprintf(stderr, "unexpected argument '%s' (after [seed])\n",
+                 pos[4].c_str());
+    return 2;
+  }
   const std::uint64_t records =
-      pos.size() > 2 ? std::strtoull(pos[2].c_str(), nullptr, 10) : 1'000'000;
-  const std::uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3].c_str(), nullptr, 10) : 1;
+      pos.size() > 2 ? parse_uint(pos[2], "records", 1) : 1'000'000;
+  const std::uint64_t seed = pos.size() > 3 ? parse_uint(pos[3], "seed") : 1;
 
   std::vector<SchemeKind> kinds;
   if (pos.size() <= 1 || pos[1] == "all") {
@@ -421,17 +461,19 @@ static int tool_main(int argc, char** argv) {
   SchemeParams params;
   params.fault = flags.fault_config(flags.fault_rate);
   const bool faulted = params.fault.enabled();
+  std::vector<DesignSpec> specs;
+  for (SchemeKind k : kinds) specs.push_back(scheme_design(k, params));
 
   // Plain-mode memoization: with a store attached, each (trace, scheme) run
-  // is a pure function of its inputs and can be served from (or persisted
-  // to) the store. Keys match the ones the ExperimentRunner computes, so
-  // simrun and the benches share entries. Event-stream flags opt out: a
-  // cached SimResult cannot replay the per-access events --trace-out and
-  // --sample exist to capture. (--metrics is fine — hits simply skip the
-  // run, so the merged registry covers executed runs plus store counters.)
-  const bool memoize = store != nullptr && flags.trace_out.empty() &&
-                       flags.sample_interval == 0;
-  const std::uint64_t tech_hash = memoize ? hash_technology(technology()) : 0;
+  // is served from (or persisted to) the store under the runner's content
+  // keys, so simrun, the benches and the daemon share entries. Event-stream
+  // flags opt out: a cached SimResult cannot replay the per-access events
+  // --trace-out and --sample exist to capture. (--metrics is fine — hits
+  // simply skip the run, so the merged registry covers executed runs plus
+  // store counters.)
+  ResultStore* memo =
+      flags.trace_out.empty() && flags.sample_interval == 0 ? store.get()
+                                                           : nullptr;
 
   TraceSinkOptions sink_opts;
   sink_opts.include_evictions = flags.trace_evictions;
@@ -440,6 +482,7 @@ static int tool_main(int argc, char** argv) {
   // and per-run registries merge cleanly afterwards. Sessions must outlive
   // the sink's render (hub subscribers reference them).
   std::vector<std::unique_ptr<Telemetry>> sessions;
+  std::size_t runs = 0;
 
   // Keep-going bookkeeping, surfaced as sweep.* counters under --metrics.
   // quarantined counts within failed: those points were skipped because a
@@ -448,11 +491,38 @@ static int tool_main(int argc, char** argv) {
   std::uint64_t sweep_failed = 0;
   std::uint64_t sweep_quarantined = 0;
 
-  for (const Trace& trace : traces) {
-    const std::uint64_t trace_hash = memoize ? hash_trace(trace) : 0;
+  for (Trace& loaded : traces) {
+    // One runner per trace keeps keep-going per (trace, scheme): a failing
+    // scheme drops its own row, never another trace's.
+    std::vector<Trace> one;
+    one.push_back(std::move(loaded));
+    ExperimentRunner runner(std::move(one));
+    runner.jobs = effective_jobs(flags.jobs);
+    runner.result_store = memo;
+    runner.sim_options.point_deadline_ms = flags.point_deadline_ms;
+    const Trace& trace = runner.trace(0);
     std::printf("trace '%s' (%s records, kernel %s)\n\n", trace.name().c_str(),
                 format_count(trace.size()).c_str(),
                 format_percent(trace.summarize().kernel_fraction()).c_str());
+
+    std::vector<PointOutcome<SchemeSuiteResult>> outcomes;
+    if (!flags.telemetry_needed()) {
+      outcomes = runner.run_designs_outcomes(specs, flags.keep_going);
+    } else {
+      // One call per scheme, so each run gets its own session. A store hit
+      // or a quarantined point leaves its session without a context (a run
+      // stamps it first thing): it is not a run.
+      for (const DesignSpec& spec : specs) {
+        sessions.push_back(std::make_unique<Telemetry>());
+        Telemetry& tel = *sessions.back();
+        tel.set_sample_interval(flags.sample_interval);
+        if (!flags.trace_out.empty()) sink.attach(tel);
+        runner.sim_options.telemetry = &tel;
+        outcomes.push_back(std::move(
+            runner.run_designs_outcomes({spec}, flags.keep_going).front()));
+        if (!tel.workload().empty()) ++runs;
+      }
+    }
 
     TablePrinter t({"scheme", "L2 miss", "cycles", "CPI", "leak uJ", "dyn uJ",
                     "refresh uJ", "DRAM uJ", "cache E vs base",
@@ -461,79 +531,29 @@ static int tool_main(int argc, char** argv) {
                      "lost", "dirty lost", "scrub repair", "silent",
                      "ways out"});
     std::optional<SimResult> base;
-    for (SchemeKind k : kinds) {
-      SimOptions opts;
-      opts.point_deadline_ms = flags.point_deadline_ms;
-      SimResult r;
-      bool cached_hit = false;
-      std::uint64_t key = 0;
-      if (memoize) {
-        // Same key recipe as ExperimentRunner::run_scheme. The key ignores
-        // opts.telemetry and the supervision knobs (hash_sim_options covers
-        // semantic fields only), so it can be computed before a session is
-        // attached.
-        const std::uint64_t dh = ContentHasher()
-                                     .mix(std::string("scheme"))
-                                     .mix(static_cast<std::uint64_t>(k))
-                                     .mix(hash_scheme_params(params))
-                                     .digest();
-        key = result_point_key(dh, trace_hash, hash_sim_options(opts),
-                               tech_hash);
-        if (std::optional<SimResult> cached = store->lookup(key)) {
-          r = std::move(*cached);
-          cached_hit = true;
-        } else if (flags.keep_going) {
-          if (std::optional<StoredFailure> poisoned =
-                  store->lookup_failure(key)) {
-            std::fprintf(stderr,
-                         "simrun: quarantined %s/%s: [%s] %s "
-                         "(--retry-failed to re-run)\n",
-                         trace.name().c_str(), scheme_name(k),
-                         poisoned->error_type.c_str(),
-                         poisoned->message.c_str());
-            ++sweep_failed;
-            ++sweep_quarantined;
-            continue;
-          }
-        }
-      }
-      if (!cached_hit) {
-        if (flags.telemetry_needed()) {
-          sessions.push_back(std::make_unique<Telemetry>());
-          Telemetry& tel = *sessions.back();
-          tel.set_sample_interval(flags.sample_interval);
-          if (!flags.trace_out.empty()) sink.attach(tel);
-          opts.telemetry = &tel;
-        }
-        if (flags.keep_going) {
-          try {
-            r = simulate(trace, build_scheme(k, params), opts);
-            validate_sim_result_finite(r);
-          } catch (...) {
-            const std::exception_ptr e = std::current_exception();
-            // Cancellation is a run-level event, never a point failure.
-            if (is_cancellation(e)) std::rethrow_exception(e);
-            std::fprintf(stderr, "simrun: point failed: %s/%s: [%s] %s\n",
-                         trace.name().c_str(), scheme_name(k),
-                         error_type_of(e).c_str(),
-                         error_message_of(e).c_str());
-            if (memoize) {
-              store->store_failure(
-                  key, StoredFailure{error_type_of(e), error_message_of(e)});
-            }
-            ++sweep_failed;
-            continue;
-          }
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      const char* name = scheme_name(kinds[i]);
+      if (const std::optional<PointFailure>& f = outcomes[i].failure) {
+        if (f->quarantined) {
+          std::fprintf(stderr,
+                       "simrun: quarantined %s/%s: [%s] %s "
+                       "(--retry-failed to re-run)\n",
+                       trace.name().c_str(), name, f->error_type.c_str(),
+                       f->message.c_str());
+          ++sweep_quarantined;
         } else {
-          r = simulate(trace, build_scheme(k, params), opts);
-          validate_sim_result_finite(r);
+          std::fprintf(stderr, "simrun: point failed: %s/%s: [%s] %s\n",
+                       trace.name().c_str(), name, f->error_type.c_str(),
+                       f->message.c_str());
         }
-        if (memoize) store->store(key, r);
+        ++sweep_failed;
+        continue;
       }
       ++sweep_completed;
+      const SimResult& r = outcomes[i].value->per_workload[0];
       if (!base) base = r;
       const EnergyBreakdown& e = r.l2_energy;
-      t.add_row({scheme_name(k), format_percent(r.l2_miss_rate()),
+      t.add_row({name, format_percent(r.l2_miss_rate()),
                  format_count(r.cycles), format_double(r.cpi, 2),
                  format_double(e.leakage_nj / 1e3, 1),
                  format_double((e.read_nj + e.write_nj) / 1e3, 1),
@@ -544,7 +564,7 @@ static int tool_main(int argc, char** argv) {
                                    static_cast<double>(base->cycles),
                                3)});
       if (faulted) {
-        ft.add_row({scheme_name(k), format_count(r.l2.write_faults),
+        ft.add_row({name, format_count(r.l2.write_faults),
                     format_count(r.l2.transient_upsets),
                     format_count(r.l2.ecc_corrections),
                     format_count(r.l2.fault_losses),
@@ -610,7 +630,7 @@ static int tool_main(int argc, char** argv) {
     merged.counter("fleet.session_records").add(fleet.session_records);
     merged.counter("fleet.shard_merges").add(fleet.shard_merges);
     if (flags.metrics_out.empty()) {
-      std::printf("merged metrics (%zu runs)\n", sessions.size());
+      std::printf("merged metrics (%zu runs)\n", runs);
       print_metrics_table(merged);
     } else {
       const std::string doc = metrics_json_string(merged) + "\n";
