@@ -24,7 +24,9 @@ struct Ctx {
 
 void dp_row(Ctx& ctx, TablePrinter& t, const std::string& label,
             const std::function<void(DynamicL2Config&)>& tweak) {
-  auto r = ctx.runner->run_custom(label, [&] {
+  DesignSpec d;
+  d.name = label;
+  d.build = [&] {
     DynamicL2Config c;
     c.cache.name = "L2";
     c.cache.size_bytes = 2ull << 20;
@@ -33,7 +35,8 @@ void dp_row(Ctx& ctx, TablePrinter& t, const std::string& label,
     c.retention = RetentionClass::Lo;
     tweak(c);
     return std::make_unique<DynamicPartitionedL2>(c);
-  });
+  };
+  auto r = ctx.runner->run_designs({d}).front();
   std::vector<SchemeSuiteResult> v{ctx.base, r};
   ExperimentRunner::normalize(v);
   double enabled = 0.0;
@@ -171,12 +174,15 @@ int main() {
                      "norm exec time"});
     auto base = runner.run_scheme(SchemeKind::BaselineSram);
     for (std::uint32_t assoc : {4u, 8u, 16u}) {
-      auto r = runner.run_custom("aspect", [&] {
+      DesignSpec d;
+      d.name = "aspect";
+      d.build = [&] {
         StaticPartitionConfig pc;
         pc.user = sram_segment(1024ull << 10, assoc);
         pc.kernel = sram_segment(256ull << 10, assoc);
         return std::make_unique<StaticPartitionedL2>(pc);
-      });
+      };
+      auto r = runner.run_designs({d}).front();
       std::vector<SchemeSuiteResult> v{base, r};
       ExperimentRunner::normalize(v);
       kk.add_row({std::to_string(assoc) + "-way",

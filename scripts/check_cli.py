@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""CLI flag-contract checks for mobcache_simrun and mobcache_daemon.
+"""CLI flag-contract checks for mobcache_simrun, mobcache_daemon,
+mobcache_appcheck and mobcache_tracegen.
 
 Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
@@ -8,11 +9,13 @@ results end up in the wrong place without anyone noticing. An unknown scheme
 must be rejected the same way, with the valid names listed. Every numeric
 simrun positional and flag parses strictly (whole string, in range): `abc`,
 `12abc` or an out-of-range rate exits 2 naming the expected value instead
-of running with a misread number. Also smokes the daemon's usage error
-paths and a `--once` run on an empty service dir.
+of running with a misread number; the daemon's, appcheck's and
+tracegen's numbers go through the same parser. Also smokes the daemon's
+usage error paths and a `--once` run on an empty service dir.
 
 Usage:
-  check_cli.py --simrun PATH --daemon PATH --workdir DIR
+  check_cli.py --simrun PATH --daemon PATH --appcheck PATH --tracegen PATH
+               --workdir DIR
 """
 
 import argparse
@@ -87,6 +90,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--simrun", required=True, type=pathlib.Path)
     ap.add_argument("--daemon", required=True, type=pathlib.Path)
+    ap.add_argument("--appcheck", required=True, type=pathlib.Path)
+    ap.add_argument("--tracegen", required=True, type=pathlib.Path)
     ap.add_argument("--workdir", required=True, type=pathlib.Path)
     args = ap.parse_args()
 
@@ -143,6 +148,25 @@ def main():
          "--point-deadline-ms must be an integer"),
     ]:
         expect_usage_error("simrun", [args.simrun] + cmd, needle)
+
+    # The other tools share simrun's strict parser: a misread number is a
+    # usage error, never a run (a 0-record appcheck run would report
+    # calibration drift instead).
+    expect_usage_error(
+        "appcheck",
+        [args.appcheck, "launcher", "abc"],
+        "records must be an integer >= 1, got 'abc'",
+    )
+    expect_usage_error(
+        "tracegen",
+        [args.tracegen, "launcher", "12abc", args.workdir / "out.mct"],
+        "records must be an integer >= 1, got '12abc'",
+    )
+    expect_usage_error(
+        "daemon",
+        [args.daemon, args.workdir / "svc", "--poll-ms=-1"],
+        "--poll-ms must be an integer >= 0, got '-1'",
+    )
 
     # daemon: same empty-value contract, then a --once smoke.
     check_empty_value_flags("daemon", args.daemon, DAEMON_EQ_FLAGS)

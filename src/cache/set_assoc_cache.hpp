@@ -282,15 +282,9 @@ class SetAssocCache {
     return wear_;
   }
 
-  /// Observers invoked whenever a valid block leaves the cache
-  /// (replacement, way flush or expiry). set_ replaces all observers
-  /// (nullptr clears); add_ appends (multicast — e.g. a lifetime recorder
-  /// plus the hierarchy's inclusion back-invalidation).
-  void set_eviction_observer(std::function<void(const EvictionEvent&)> obs) {
-    observers_.clear();
-    if (obs) observers_.push_back(std::move(obs));
-    select_kernel();
-  }
+  /// Appends an observer invoked whenever a valid block leaves the cache
+  /// (replacement, way flush or expiry). Observers multicast — e.g. a
+  /// lifetime recorder plus the hierarchy's inclusion back-invalidation.
   void add_eviction_observer(std::function<void(const EvictionEvent&)> obs) {
     if (obs) observers_.push_back(std::move(obs));
     select_kernel();

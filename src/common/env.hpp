@@ -40,4 +40,13 @@ std::uint64_t env_u64_or(const char* name, std::uint64_t fallback,
 /// Reads `name` as a string; unset or empty returns nullopt.
 std::optional<std::string> env_string(const char* name);
 
+/// Command-line twin of env_u64: parses `text` as an unsigned integer in
+/// [min, max] under the same whole-string check. Anything else is a usage
+/// error naming the expected value — "WHAT must be an integer >= MIN, got
+/// 'TEXT'" (or "in [MIN, MAX]") on stderr — and exits with status 2, so
+/// `12abc` never silently runs as 12.
+std::uint64_t parse_uint(const std::string& text, const char* what,
+                         std::uint64_t min = 0,
+                         std::uint64_t max = UINT64_MAX);
+
 }  // namespace mobcache

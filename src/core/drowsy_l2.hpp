@@ -49,10 +49,6 @@ class DrowsyL2 final : public L2Interface {
     s.enabled_bytes = static_cast<double>(cache_.config().size_bytes);
     s.drowsy_awake_lines = awake_count_;
   }
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.set_eviction_observer(std::move(obs));
-  }
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override {
     cache_.add_eviction_observer(std::move(obs));

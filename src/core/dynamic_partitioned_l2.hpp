@@ -68,10 +68,6 @@ class DynamicPartitionedL2 final : public L2Interface {
     s.enabled_bytes =
         enabled_fraction() * static_cast<double>(cache_.config().size_bytes);
   }
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.set_eviction_observer(std::move(obs));
-  }
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override {
     cache_.add_eviction_observer(std::move(obs));

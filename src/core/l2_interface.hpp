@@ -73,10 +73,9 @@ class L2Interface {
   /// Human-readable one-line description for reports.
   virtual std::string describe() const = 0;
 
-  /// Forwards a block-eviction observer to the underlying arrays (used by
-  /// the lifetime study). set_ replaces; add_ appends (multicast).
-  virtual void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) = 0;
+  /// Appends a block-eviction observer to the underlying arrays (multicast:
+  /// the simulator's telemetry hub and the hierarchy's inclusion
+  /// back-invalidation each subscribe one).
   virtual void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) = 0;
 

@@ -25,7 +25,7 @@ namespace mobcache {
 class LifetimeRecorder {
  public:
   /// Wire into a run via Telemetry::hub().on_eviction, or into an L2 via
-  /// set_eviction_observer (the returned lambda keeps a reference to *this;
+  /// add_eviction_observer (the returned lambda keeps a reference to *this;
   /// the recorder must outlive the run).
   std::function<void(const EvictionEvent&)> observer();
 

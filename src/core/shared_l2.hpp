@@ -57,10 +57,6 @@ class SharedL2 final : public L2Interface {
     return fault_ == nullptr ? 0 : fault_->repair().quarantined_ways();
   }
   std::string describe() const override;
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.set_eviction_observer(std::move(obs));
-  }
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override {
     cache_.add_eviction_observer(std::move(obs));

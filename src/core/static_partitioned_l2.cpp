@@ -90,15 +90,9 @@ std::string StaticPartitionedL2::describe() const {
          "] [kernel: " + segments_[1]->describe() + "]";
 }
 
-void StaticPartitionedL2::set_eviction_observer(
-    std::function<void(const EvictionEvent&)> obs) {
-  // Both segments share the observer; events carry the owner mode.
-  segments_[0]->set_eviction_observer(obs);
-  segments_[1]->set_eviction_observer(std::move(obs));
-}
-
 void StaticPartitionedL2::add_eviction_observer(
     std::function<void(const EvictionEvent&)> obs) {
+  // Both segments share the observer; events carry the owner mode.
   segments_[0]->add_eviction_observer(obs);
   segments_[1]->add_eviction_observer(std::move(obs));
 }

@@ -45,8 +45,6 @@ class StaticPartitionedL2 final : public L2Interface {
   CacheStats aggregate_stats() const override;
   std::uint64_t capacity_bytes() const override;
   std::string describe() const override;
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override;
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override;
   void attach_telemetry(Telemetry* t) override;

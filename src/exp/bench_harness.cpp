@@ -21,8 +21,9 @@ unsigned bench_jobs(int argc, char** argv) {
   unsigned requested = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      const unsigned long v = std::strtoul(argv[i] + 7, nullptr, 10);
-      if (v > 0) requested = static_cast<unsigned>(v);
+      // 0 keeps meaning auto, like MOBCACHE_JOBS.
+      requested =
+          static_cast<unsigned>(parse_uint(argv[i] + 7, "--jobs", 0, 65536));
     }
   }
   return effective_jobs(requested);
@@ -66,7 +67,7 @@ std::uint64_t bench_point_deadline_ms(int argc, char** argv) {
   std::uint64_t ms = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--point-deadline-ms=", 20) == 0)
-      ms = std::strtoull(argv[i] + 20, nullptr, 10);
+      ms = parse_uint(argv[i] + 20, "--point-deadline-ms");
   }
   return ms;
 }

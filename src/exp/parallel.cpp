@@ -66,18 +66,6 @@ PointFailure point_failure_from(std::size_t index,
 
 void SweepExecutor::for_each(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  run(n, fn, nullptr);
-}
-
-void SweepExecutor::for_each_outcomes(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    const std::function<void(PointFailure&&)>& on_failure) const {
-  run(n, fn, &on_failure);
-}
-
-void SweepExecutor::run(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    const std::function<void(PointFailure&&)>* on_failure) const {
   if (n == 0) return;
   const std::size_t workers =
       std::min<std::size_t>(jobs_, n) > 0 ? std::min<std::size_t>(jobs_, n)
@@ -91,17 +79,7 @@ void SweepExecutor::run(
     // Serial reference path: in index order, exceptions propagate directly.
     for (std::size_t i = 0; i < n; ++i) {
       cancel.check();
-      if (on_failure == nullptr) {
-        fn(i);
-        continue;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        const std::exception_ptr e = std::current_exception();
-        if (is_cancellation(e)) std::rethrow_exception(e);
-        (*on_failure)(point_failure_from(i, e));
-      }
+      fn(i);
     }
     return;
   }
@@ -156,17 +134,10 @@ void SweepExecutor::run(
         fn(*i);
         done.fetch_add(1, std::memory_order_relaxed);
       } catch (...) {
-        const std::exception_ptr e = std::current_exception();
         std::lock_guard<std::mutex> lock(err_m);
-        if (on_failure != nullptr && !is_cancellation(e)) {
-          // Keep-going: record the failure and let this worker continue.
-          (*on_failure)(point_failure_from(*i, e));
-          done.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
         if (*i < err_index) {
           err_index = *i;
-          err = e;
+          err = std::current_exception();
         }
         cancelled.store(true, std::memory_order_relaxed);
       }

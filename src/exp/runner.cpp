@@ -38,14 +38,6 @@ void validate_sim_result_finite(const SimResult& r) {
   }
 }
 
-MetricRegistry SchemeSuiteResult::merged_metrics() const {
-  MetricRegistry merged;
-  for (const auto& tel : per_workload_telemetry) {
-    if (tel) merged.merge(tel->metrics());
-  }
-  return merged;
-}
-
 ExperimentRunner::ExperimentRunner(std::vector<AppId> apps,
                                    std::uint64_t accesses, std::uint64_t seed)
     : apps_(std::move(apps)),
@@ -55,12 +47,6 @@ ExperimentRunner::ExperimentRunner(std::vector<Trace> traces) {
   traces_.reserve(traces.size());
   for (Trace& t : traces)
     traces_.push_back(std::make_shared<const Trace>(std::move(t)));
-}
-
-bool ExperimentRunner::memoizable() const {
-  // Collected telemetry sessions are a side channel a cached SimResult
-  // cannot replay — those runs always simulate.
-  return result_store != nullptr && !collect_telemetry;
 }
 
 std::vector<std::uint64_t> ExperimentRunner::cell_keys(
@@ -93,21 +79,8 @@ SchemeSuiteResult ExperimentRunner::run_scheme(SchemeKind kind,
   return std::move(run_designs({scheme_design(kind, params)}).front());
 }
 
-SchemeSuiteResult ExperimentRunner::run_custom(
-    const std::string& name,
-    const std::function<std::unique_ptr<L2Interface>()>& builder,
-    std::optional<std::uint64_t> design_hash) const {
-  return std::move(
-      run_designs({DesignSpec{name, builder, design_hash, std::nullopt}})
-          .front());
-}
-
-bool ExperimentRunner::shares_front_end() const {
-  return !collect_telemetry && batch_eligible(sim_options);
-}
-
 bool ExperimentRunner::batchable() const {
-  return sweep_batch >= 2 && shares_front_end();
+  return sweep_batch >= 2 && batch_eligible(sim_options);
 }
 
 std::vector<SchemeSuiteResult> ExperimentRunner::run_designs(
@@ -159,11 +132,10 @@ ExperimentRunner::run_designs_outcomes(
   // be, so any store resumes any sweep. A keep-going sweep also honours
   // poison records: a quarantined cell fails its spec without running
   // (ResultStore::lookup_failure, which --retry-failed disables).
-  const bool memo = memoizable();
+  const bool memo = result_store != nullptr;
   const bool poison = memo && keep_going;
   std::vector<std::vector<std::uint64_t>> keys(n);
   std::vector<std::optional<SimResult>> cells(n * w_count);
-  std::vector<std::shared_ptr<Telemetry>> sessions(n * w_count);
   std::vector<std::vector<std::size_t>> missing(w_count);
   for (std::size_t s = 0; s < n; ++s) {
     if (!live[s]) continue;
@@ -253,18 +225,10 @@ ExperimentRunner::run_designs_outcomes(
     if (!keep_going && chunk_err) std::rethrow_exception(chunk_err->second);
   };
 
-  // One checked simulate() per cell, with a fresh session when telemetry
-  // is collected.
+  // One checked simulate() per cell.
   auto simulate_cell = [&](const Unit& u) {
     const std::size_t s = missing[u.w][u.begin];
-    SimOptions opts = sim_options;
-    std::shared_ptr<Telemetry>& tel = sessions[s * w_count + u.w];
-    if (collect_telemetry) {
-      tel = std::make_shared<Telemetry>();
-      tel->set_sample_interval(telemetry_sample_interval);
-      opts.telemetry = tel.get();
-    }
-    cell_done(s, u.w, simulate(*traces_[u.w], specs[s].build(), opts));
+    cell_done(s, u.w, simulate(*traces_[u.w], specs[s].build(), sim_options));
   };
 
   // Unit-level failure (stream build, whole-replay or whole-cell error):
@@ -293,7 +257,7 @@ ExperimentRunner::run_designs_outcomes(
     if (!missing[w].empty()) todo.push_back(w);
   }
   SweepExecutor ex(jobs);
-  const bool shared = shares_front_end();
+  const bool shared = batch_eligible(sim_options);
   const std::size_t lane_cap = shared ? std::max(1u, sweep_batch) : 1;
   const std::size_t group =
       shared ? ex.jobs() : std::max<std::size_t>(1, todo.size());
@@ -349,10 +313,6 @@ ExperimentRunner::run_designs_outcomes(
       SimResult& res = *cells[s * w_count + w];
       miss_sum += res.l2_miss_rate();
       r.per_workload.push_back(std::move(res));
-      if (collect_telemetry) {
-        r.per_workload_telemetry.push_back(
-            std::move(sessions[s * w_count + w]));
-      }
     }
     if (w_count > 0)
       r.avg_miss_rate = miss_sum / static_cast<double>(w_count);
@@ -468,28 +428,20 @@ std::vector<MultiSeedResult> run_multi_seed(
     unsigned jobs, ResultStore* store) {
   const std::size_t s_count = schemes.size();
 
-  // Flat (seed × scheme) sweep. Each cell derives everything from its index
-  // — suite seed seeds[c / S], scheme schemes[c % S] — and the TraceCache
-  // makes concurrent cells of one seed share a single generated suite. The
-  // per-seed runner inherits `store`, so the inner per-workload cells are
-  // memoized (their keys fold in the seed via the trace fingerprints).
-  SweepExecutor ex(jobs);
-  std::vector<SchemeSuiteResult> cells =
-      ex.map(seeds.size() * s_count, [&](std::size_t c) {
-        ExperimentRunner runner(apps, accesses, seeds[c / s_count]);
-        runner.result_store = store;
-        return runner.run_scheme(schemes[c % s_count], params);
-      });
-
-  // Normalize per seed, then accumulate in seed order — deterministic
-  // regardless of which worker finished first.
+  // One run_schemes() grid per seed: the seed's workloads each run their L1
+  // front end once for every scheme, `jobs` spreads the grid's cells, and
+  // `store` memoizes them (their keys fold in the seed via the trace
+  // fingerprints). Seeds go in order, so the statistics accumulate
+  // deterministically.
   std::vector<RunningStat> energy(s_count);
   std::vector<RunningStat> time(s_count);
   std::vector<RunningStat> miss(s_count);
-  for (std::size_t si = 0; si < seeds.size(); ++si) {
-    std::vector<SchemeSuiteResult> per_seed(
-        std::make_move_iterator(cells.begin() + si * s_count),
-        std::make_move_iterator(cells.begin() + (si + 1) * s_count));
+  for (std::uint64_t seed : seeds) {
+    ExperimentRunner runner(apps, accesses, seed);
+    runner.jobs = jobs;
+    runner.result_store = store;
+    std::vector<SchemeSuiteResult> per_seed =
+        runner.run_schemes(schemes, params);
     ExperimentRunner::normalize(per_seed);
     for (std::size_t i = 0; i < s_count; ++i) {
       energy[i].add(per_seed[i].norm_cache_energy);

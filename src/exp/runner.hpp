@@ -24,7 +24,6 @@
 
 #include "core/scheme.hpp"
 #include "exp/parallel.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -63,15 +62,6 @@ struct SchemeSuiteResult {
   std::string name;
   std::vector<SimResult> per_workload;  ///< aligned with the suite order
 
-  /// Per-workload observability sessions (aligned with per_workload); empty
-  /// unless ExperimentRunner::collect_telemetry is on. shared_ptr because
-  /// Telemetry is non-copyable while suite results get moved around freely.
-  std::vector<std::shared_ptr<Telemetry>> per_workload_telemetry;
-
-  /// Suite-wide metric rollup: all per-workload registries merged (counters
-  /// add, histograms/stats combine). Empty registry when telemetry was off.
-  MetricRegistry merged_metrics() const;
-
   /// Normalized-to-baseline aggregates (geomean over workloads); filled by
   /// ExperimentRunner when a baseline is present.
   double norm_cache_energy = 1.0;
@@ -96,20 +86,6 @@ class ExperimentRunner {
   SchemeSuiteResult run_scheme(SchemeKind kind,
                                const SchemeParams& params = {}) const;
 
-  /// Runs a custom design: run_designs() over one DesignSpec. The builder
-  /// is invoked once per workload — from worker threads when jobs != 1, so
-  /// it must be safe to call concurrently (building fresh objects from
-  /// captured read-only state is fine).
-  ///
-  /// `design_hash` is the memoization opt-in for custom designs: a content
-  /// hash covering every parameter the builder bakes into the design (use
-  /// ContentHasher). Without it the runner cannot key the cells, so a
-  /// custom run is never served from the result store.
-  SchemeSuiteResult run_custom(
-      const std::string& name,
-      const std::function<std::unique_ptr<L2Interface>()>& builder,
-      std::optional<std::uint64_t> design_hash = std::nullopt) const;
-
   /// Runs several schemes as one grid: run_designs() over their
   /// scheme_design() specs, so the schemes share each workload's L1 front
   /// end whenever the configuration allows it. No normalization is applied.
@@ -121,17 +97,17 @@ class ExperimentRunner {
   /// order. Each (design × workload) cell is served from `result_store`
   /// when its content key is stored; the missing cells are computed, then
   /// validated (validate_sim_result_finite) and persisted by the worker
-  /// that computed them. With a batch-eligible configuration and
-  /// collect_telemetry off, each workload that misses a cell runs the L1
-  /// front end once (sim/batch.hpp) and replays its demand stream into the
-  /// missing designs in passes of up to max(1, `sweep_batch`) lanes; at
-  /// most `jobs` streams are alive at a time. Otherwise (inclusive L2,
-  /// prefetcher, a telemetry session) each missing cell is one simulate()
-  /// call, the cells sharded across `jobs` workers; a caller-supplied
-  /// `sim_options.telemetry` session is shared by those calls, so give it
-  /// one cell per call or `jobs` 1. Both strategies produce byte-identical
-  /// SchemeSuiteResults and result-store records (docs/SWEEP_ENGINE.md).
-  /// Fail-fast: the first failing cell aborts the sweep.
+  /// that computed them. With a batch-eligible configuration, each
+  /// workload that misses a cell runs the L1 front end once
+  /// (sim/batch.hpp) and replays its demand stream into the missing
+  /// designs in passes of up to max(1, `sweep_batch`) lanes; at most `jobs`
+  /// streams are alive at a time. Otherwise (inclusive L2, prefetcher, a
+  /// `sim_options.telemetry` session) each missing cell is one simulate()
+  /// call, the cells sharded across `jobs` workers; the session is shared
+  /// by those calls, so give it one cell per call or `jobs` 1. Both
+  /// strategies produce byte-identical SchemeSuiteResults and result-store
+  /// records (docs/SWEEP_ENGINE.md). Fail-fast: the first failing cell
+  /// aborts the sweep.
   std::vector<SchemeSuiteResult> run_designs(
       const std::vector<DesignSpec>& specs) const;
 
@@ -151,9 +127,9 @@ class ExperimentRunner {
       const std::function<void(std::size_t)>& point_hook = {}) const;
 
   /// True when run_designs()/run_schemes() replay more than one design lane
-  /// per pass: `sweep_batch` >= 2, no telemetry collection, and a
-  /// batch-eligible SimOptions (batch_eligible() in sim/batch.hpp). With
-  /// `sweep_batch` <= 1 the front end is still shared, one lane per pass.
+  /// per pass: `sweep_batch` >= 2 and a batch-eligible SimOptions
+  /// (batch_eligible() in sim/batch.hpp). With `sweep_batch` <= 1 the front
+  /// end is still shared, one lane per pass.
   bool batchable() const;
 
   /// Runs all headline schemes and normalizes against the first (baseline).
@@ -179,21 +155,10 @@ class ExperimentRunner {
   /// every value; only wall-clock changes.
   unsigned jobs = 1;
 
-  /// When true, every simulate() call gets a fresh Telemetry session,
-  /// returned on SchemeSuiteResult::per_workload_telemetry. Off by default:
-  /// the no-sink fast path keeps sweeps at full speed. Sessions are created
-  /// and filled on the worker that runs the cell (one session per cell, no
-  /// cross-thread sharing), then handed back in suite order.
-  bool collect_telemetry = false;
-  /// Trace-record sampling cadence for the collected sessions (0 = only
-  /// scheme-internal epochs sample; see Telemetry::set_sample_interval).
-  std::uint64_t telemetry_sample_interval = 0;
-
-  /// Persistent memoization of completed cells (null = off). Runs with
-  /// collect_telemetry always simulate, because a cached SimResult cannot
-  /// replay their sessions. A caller-supplied `sim_options.telemetry`
-  /// session does not opt out: a stored cell is served and never reaches
-  /// it.
+  /// Persistent memoization of completed cells (null = off). A
+  /// `sim_options.telemetry` session does not opt out: a stored cell is
+  /// served and never reaches the session; a missing cell is simulated
+  /// into it.
   ResultStore* result_store = nullptr;
 
   /// Design lanes per demand-stream replay pass in run_designs()/
@@ -207,9 +172,6 @@ class ExperimentRunner {
   unsigned sweep_batch = 1;
 
  private:
-  bool memoizable() const;
-  /// Eligible for one shared front-end pass per workload (any sweep_batch).
-  bool shares_front_end() const;
   /// Per-cell content keys for a (design × workload) grid slice.
   std::vector<std::uint64_t> cell_keys(std::uint64_t design_hash) const;
 
@@ -268,13 +230,12 @@ struct MultiSeedResult {
 /// the statistical-rigor pass: a conclusion that does not survive the seed
 /// noise band is not a conclusion (bench E14).
 ///
-/// Every (seed, scheme) cell is a pure function of its index — the suite
-/// seed is seeds[cell / schemes.size()], never a running counter — and the
-/// cross-seed statistics are accumulated in seed order after all cells
-/// finish, so `jobs` does not change a single output bit. Use
+/// Each seed is one runner with `jobs` and `store` set and one
+/// run_schemes() grid, so every (seed, workload) runs its L1 front end
+/// once for all schemes. The cross-seed statistics are accumulated in seed
+/// order, so `jobs` does not change a single output bit. Use
 /// derived_seeds(base, n) (exp/parallel.hpp) to build the seed list from
-/// one base seed. `store` memoizes the inner (scheme × workload) cells of
-/// every per-seed runner.
+/// one base seed.
 std::vector<MultiSeedResult> run_multi_seed(
     const std::vector<AppId>& apps, std::uint64_t accesses,
     const std::vector<std::uint64_t>& seeds,

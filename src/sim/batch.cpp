@@ -56,8 +56,6 @@ class RecorderL2 final : public L2Interface {
   CacheStats aggregate_stats() const override { return {}; }
   std::uint64_t capacity_bytes() const override { return 0; }
   std::string describe() const override { return "l1-demand-recorder"; }
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> /*obs*/) override {}
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> /*obs*/) override {}
 
@@ -305,21 +303,6 @@ std::vector<BatchLaneOutcome> simulate_batch_lanes(
     }
   }
   return out;
-}
-
-std::vector<SimResult> simulate_batch(const Trace& trace,
-                                      const std::vector<L2Interface*>& lanes,
-                                      const SimOptions& opts) {
-  const DemandStream stream = build_demand_stream(trace, opts);
-  std::vector<BatchLaneOutcome> outcomes =
-      simulate_batch_lanes(stream, lanes, opts);
-  std::vector<SimResult> results;
-  results.reserve(outcomes.size());
-  for (BatchLaneOutcome& o : outcomes) {
-    if (!o.ok()) std::rethrow_exception(o.error);
-    results.push_back(std::move(*o.result));
-  }
-  return results;
 }
 
 std::vector<double> estimate_demand_miss_rates(const DemandStream& stream,

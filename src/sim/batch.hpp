@@ -15,8 +15,8 @@
 /// computation. build_demand_stream() runs that shared computation through
 /// the real MemoryHierarchy (the same code the per-point path executes, so
 /// L1 behaviour cannot drift), recording one compact record per L2 demand
-/// access; simulate_batch() then replays the stream into each lane with a
-/// per-lane reconstruction of the CpiModel clock:
+/// access; simulate_batch_lanes() then replays the stream into each lane
+/// with a per-lane reconstruction of the CpiModel clock:
 ///
 ///   now_i = Cycle(double(record_index) * base_cpi) + lane_stall_sum
 ///
@@ -119,12 +119,6 @@ struct BatchLaneOutcome {
 std::vector<BatchLaneOutcome> simulate_batch_lanes(
     const DemandStream& stream, const std::vector<L2Interface*>& lanes,
     const SimOptions& opts);
-
-/// Convenience: build the stream and replay, rethrowing the lowest-indexed
-/// lane error (fail-fast). Precondition: batch_eligible(opts).
-std::vector<SimResult> simulate_batch(const Trace& trace,
-                                      const std::vector<L2Interface*>& lanes,
-                                      const SimOptions& opts = {});
 
 /// Auxiliary-tag estimation seam (Mittal-style single-pass profiling): feeds
 /// every L2 access of `stream` through `shadow` — each demand line and, when

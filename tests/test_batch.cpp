@@ -32,6 +32,7 @@
 #include "exp/bench_harness.hpp"
 #include "exp/result_store.hpp"
 #include "exp/runner.hpp"
+#include "obs/telemetry.hpp"
 #include "support/scoped_dir.hpp"
 #include "support/simulate_grid.hpp"
 #include "workload/suite.hpp"
@@ -74,10 +75,6 @@ class HookedL2 final : public L2Interface {
     return inner_->quarantined_ways();
   }
   std::string describe() const override { return inner_->describe(); }
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    inner_->set_eviction_observer(std::move(obs));
-  }
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override {
     inner_->add_eviction_observer(std::move(obs));
@@ -166,14 +163,17 @@ TEST(BatchSim, MixedSchemeBatchMatchesSimulateForEveryScheme) {
     designs.push_back(build_scheme(kind, params));
     lanes.push_back(designs.back().get());
   }
-  const std::vector<SimResult> batched = simulate_batch(trace, lanes, opts);
+  const std::vector<BatchLaneOutcome> batched =
+      simulate_batch_lanes(build_demand_stream(trace, opts), lanes, opts);
   ASSERT_EQ(batched.size(), points.size());
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& [kind, params] = points[i];
     const std::unique_ptr<L2Interface> ref = build_scheme(kind, params);
     const SimResult expect = simulate(trace, *ref, opts);
-    EXPECT_EQ(result_to_record_json(batched[i]), result_to_record_json(expect))
+    ASSERT_TRUE(batched[i].ok()) << "scheme " << scheme_name(kind);
+    EXPECT_EQ(result_to_record_json(*batched[i].result),
+              result_to_record_json(expect))
         << "scheme " << scheme_name(kind) << " fault rate "
         << params.fault.write_fault_prob << " ecc "
         << to_string(params.fault.ecc);
@@ -216,7 +216,9 @@ TEST(BatchSim, PreCancelledTokenAbortsTheSharedPass) {
   opts.cancel = &token;
   std::unique_ptr<L2Interface> l2 = build_scheme(SchemeKind::BaselineSram);
   std::vector<L2Interface*> lanes{l2.get()};
-  EXPECT_THROW(simulate_batch(trace, lanes, opts), CancelledError);
+  EXPECT_THROW(
+      simulate_batch_lanes(build_demand_stream(trace, opts), lanes, opts),
+      CancelledError);
 }
 
 // ---- ExperimentRunner batched path ---------------------------------------
@@ -302,9 +304,10 @@ TEST(RunnerBatch, IneligibleConfigurationFallsBackPerPoint) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_GT(got[0].per_workload[0].records, 0u);
 
+  Telemetry session;
   ExperimentRunner t({AppId::Launcher}, 20'000, 1);
   t.sweep_batch = 8;
-  t.collect_telemetry = true;
+  t.sim_options.telemetry = &session;
   EXPECT_FALSE(t.batchable());
 }
 

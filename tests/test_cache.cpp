@@ -171,7 +171,7 @@ TEST(Cache, OccupancyPerWayRange) {
 TEST(Cache, EvictionObserverSeesLifetimes) {
   SetAssocCache c(small_config(1, 4ull << 10));
   std::vector<EvictionEvent> events;
-  c.set_eviction_observer([&](const EvictionEvent& e) { events.push_back(e); });
+  c.add_eviction_observer([&](const EvictionEvent& e) { events.push_back(e); });
 
   c.access(user_line(0), AccessType::Write, Mode::User, 100);
   c.access(user_line(0), AccessType::Read, Mode::User, 150);

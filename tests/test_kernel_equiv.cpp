@@ -190,9 +190,9 @@ void run_array_case(const ArrayCase& c) {
   }
   std::vector<EvictionEvent> fast_ev, ref_ev;
   if (c.observer) {
-    fast.set_eviction_observer(
+    fast.add_eviction_observer(
         [&](const EvictionEvent& e) { fast_ev.push_back(e); });
-    ref.set_eviction_observer(
+    ref.add_eviction_observer(
         [&](const EvictionEvent& e) { ref_ev.push_back(e); });
   }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hpp"
+#include "sim/batch.hpp"
 
 namespace mobcache {
 namespace {
@@ -41,6 +42,26 @@ TEST(MultiSeed, DeterministicGivenSameSeeds) {
                                  SchemeKind::DynamicStt});
   EXPECT_DOUBLE_EQ(a[1].cache_energy.mean, b[1].cache_energy.mean);
   EXPECT_DOUBLE_EQ(a[1].exec_time.stddev, b[1].exec_time.stddev);
+}
+
+TEST(MultiSeed, OneFrontEndPassPerSeedAndWorkload) {
+  // Each seed is one grid over its schemes, so every (seed, workload) runs
+  // its L1 front end once: 2 seeds x 2 apps = 4 passes, not one per scheme.
+  const std::vector<SchemeKind> schemes = {SchemeKind::BaselineSram,
+                                           SchemeKind::StaticPartMrstt,
+                                           SchemeKind::DynamicStt};
+  std::vector<std::vector<MultiSeedResult>> runs;
+  for (unsigned jobs : {1u, 2u}) {
+    const std::uint64_t before = front_end_passes();
+    runs.push_back(run_multi_seed({AppId::Launcher, AppId::Email}, 20'000,
+                                  {3, 4}, schemes, {}, jobs));
+    EXPECT_EQ(front_end_passes() - before, 4u) << "jobs=" << jobs;
+  }
+  ASSERT_EQ(runs[0].size(), schemes.size());
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    EXPECT_EQ(runs[0][i].cache_energy.mean, runs[1][i].cache_energy.mean);
+    EXPECT_EQ(runs[0][i].exec_time.stddev, runs[1][i].exec_time.stddev);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/scheme.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
+#include "exp/result_store.hpp"
 #include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
@@ -324,29 +325,30 @@ TEST(ObsEndToEnd, DynamicEpochSeriesMatchesAllocationHistory) {
 }
 
 TEST(ObsEndToEnd, RunnerCollectsAndMergesTelemetry) {
-  ExperimentRunner runner({AppId::Browser, AppId::Launcher}, 60'000, 5);
-  runner.collect_telemetry = true;
-  runner.telemetry_sample_interval = 10'000;
-  const SchemeSuiteResult r = runner.run_scheme(SchemeKind::DynamicStt);
-
-  ASSERT_EQ(r.per_workload_telemetry.size(), 2u);
-  for (const auto& tel : r.per_workload_telemetry) {
-    ASSERT_TRUE(tel);
-    EXPECT_FALSE(tel->metrics().empty());
-    EXPECT_GT(tel->epochs().size(), 0u);
-  }
-  const MetricRegistry merged = r.merged_metrics();
-  const std::uint64_t merged_epochs = merged.counters().at("l2.epochs").value();
+  // One caller session per run_scheme on a one-trace runner, the way simrun
+  // attaches them; the per-run registries merge afterwards.
+  MetricRegistry merged;
   std::uint64_t sum = 0;
-  for (const auto& tel : r.per_workload_telemetry)
-    sum += tel->metrics().counters().at("l2.epochs").value();
-  EXPECT_EQ(merged_epochs, sum);
+  for (AppId app : {AppId::Browser, AppId::Launcher}) {
+    ExperimentRunner runner({app}, 60'000, 5);
+    Telemetry tel;
+    tel.set_sample_interval(10'000);
+    runner.sim_options.telemetry = &tel;
+    const SchemeSuiteResult r = runner.run_scheme(SchemeKind::DynamicStt);
 
-  // Telemetry off by default: no sessions, empty merged registry.
-  ExperimentRunner plain({AppId::Browser}, 30'000, 5);
-  const SchemeSuiteResult p = plain.run_scheme(SchemeKind::BaselineSram);
-  EXPECT_TRUE(p.per_workload_telemetry.empty());
-  EXPECT_TRUE(p.merged_metrics().empty());
+    EXPECT_EQ(tel.workload(), r.per_workload[0].workload);
+    EXPECT_FALSE(tel.metrics().empty());
+    EXPECT_GT(tel.epochs().size(), 0u);
+    sum += tel.metrics().counters().at("l2.epochs").value();
+    merged.merge(tel.metrics());
+
+    // The session observes the run without perturbing it.
+    ExperimentRunner plain({app}, 60'000, 5);
+    const SchemeSuiteResult p = plain.run_scheme(SchemeKind::DynamicStt);
+    EXPECT_EQ(result_to_record_json(r.per_workload[0]),
+              result_to_record_json(p.per_workload[0]));
+  }
+  EXPECT_EQ(merged.counters().at("l2.epochs").value(), sum);
 }
 
 }  // namespace

@@ -163,47 +163,6 @@ TEST(SweepExecutor, SoleThrowingPointIsTheOneRethrown) {
   }
 }
 
-TEST(SweepExecutor, KeepGoingCollectsFailuresInIndexOrder) {
-  // K injected throwing points out of N: the sweep must finish with N-K
-  // values and K failures, each failure slotted at its own index.
-  const std::set<std::size_t> bad = {3, 17, 40};
-  for (unsigned jobs : {1u, 8u}) {
-    SweepExecutor ex(jobs);
-    const auto out = ex.map_outcomes(64, [&](std::size_t i) {
-      if (bad.count(i)) throw NumericError("boom " + std::to_string(i));
-      return i * 2;
-    });
-    ASSERT_EQ(out.size(), 64u) << "jobs=" << jobs;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (bad.count(i)) {
-        ASSERT_FALSE(out[i].ok()) << i;
-        EXPECT_EQ(out[i].failure->index, i);
-        EXPECT_EQ(out[i].failure->error_type, "numeric");
-        EXPECT_EQ(out[i].failure->message, "boom " + std::to_string(i));
-        EXPECT_FALSE(out[i].failure->quarantined);
-      } else {
-        ASSERT_TRUE(out[i].ok()) << i;
-        EXPECT_EQ(*out[i].value, i * 2);
-      }
-    }
-  }
-}
-
-TEST(SweepExecutor, KeepGoingStillPropagatesCancellation) {
-  // Cancellation is a whole-run event, never a per-point failure: a
-  // keep-going sweep must rethrow it instead of recording it.
-  SweepExecutor ex(1);  // serial path checks the token before each point
-  global_cancel_token().request_cancel();
-  EXPECT_THROW(
-      ex.map_outcomes(16, [](std::size_t i) { return i; }),
-      CancelledError);
-  global_cancel_token().reset();
-  // After reset the pool runs normally again.
-  const auto out = ex.map_outcomes(4, [](std::size_t i) { return i; });
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_TRUE(out[3].ok());
-}
-
 TEST(SweepExecutor, ParallelSweepDrainsAndThrowsWhenCancelledMidRun) {
   SweepExecutor ex(4);
   std::atomic<std::size_t> ran{0};

@@ -14,6 +14,7 @@
 #include "energy/technology.hpp"
 #include "exp/parallel.hpp"
 #include "exp/runner.hpp"
+#include "obs/telemetry.hpp"
 #include "support/scoped_dir.hpp"
 #include "workload/suite.hpp"
 
@@ -595,16 +596,33 @@ TEST_F(ResultStoreTest, RunnerMemoizationMatchesDirectRun) {
   EXPECT_GT(store.stats().hits, 0u);
 }
 
-TEST_F(ResultStoreTest, TelemetryRunsAreNotMemoized) {
-  // A cached SimResult cannot replay telemetry events, so runs with a
-  // telemetry side channel must bypass the store entirely.
+TEST_F(ResultStoreTest, CallerSessionSeesOnlySimulatedCells) {
+  // A caller-supplied session does not opt out of memoization: a missing
+  // cell is simulated into the session (and stored), a stored cell is
+  // served and never reaches the session.
   ExperimentRunner runner({AppId::Launcher}, 2000, 7);
   ResultStore store(dir());
   runner.result_store = &store;
-  runner.collect_telemetry = true;
-  (void)runner.run_scheme(SchemeKind::BaselineSram);
-  EXPECT_EQ(store.stats().hits + store.stats().misses, 0u);
-  EXPECT_EQ(store.stats().stores, 0u);
+
+  Telemetry cold;
+  cold.set_sample_interval(500);
+  runner.sim_options.telemetry = &cold;
+  const SchemeSuiteResult a = runner.run_scheme(SchemeKind::DynamicStt);
+  EXPECT_EQ(cold.workload(), "launcher");
+  EXPECT_GT(cold.epochs().size(), 0u);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().stores, 1u);
+
+  Telemetry warm;
+  warm.set_sample_interval(500);
+  runner.sim_options.telemetry = &warm;
+  const SchemeSuiteResult b = runner.run_scheme(SchemeKind::DynamicStt);
+  EXPECT_EQ(store.stats().hits, 1u);
+  EXPECT_EQ(store.stats().stores, 1u);
+  EXPECT_TRUE(warm.workload().empty());
+  EXPECT_EQ(warm.epochs().size(), 0u);
+  EXPECT_TRUE(warm.metrics().empty());
+  expect_equal(a.per_workload[0], b.per_workload[0]);
 }
 
 }  // namespace

@@ -27,10 +27,13 @@ TEST(Runner, RunSchemeProducesAlignedResults) {
 TEST(Runner, RunCustomUsesBuilderPerWorkload) {
   ExperimentRunner r({AppId::Launcher, AppId::Email}, 20'000, 1);
   int builds = 0;
-  const SchemeSuiteResult s = r.run_custom("probe", [&] {
+  DesignSpec probe;
+  probe.name = "probe";
+  probe.build = [&] {
     ++builds;
     return build_scheme(SchemeKind::BaselineSram);
-  });
+  };
+  const SchemeSuiteResult s = r.run_designs({probe}).front();
   EXPECT_EQ(builds, 2);
   EXPECT_EQ(s.name, "probe");
 }

@@ -100,7 +100,7 @@ TEST(StaticPartition, EvictionObserverCoversBothSegments) {
   StaticPartitionedL2 l2(c);
   int user_ev = 0;
   int kernel_ev = 0;
-  l2.set_eviction_observer([&](const EvictionEvent& e) {
+  l2.add_eviction_observer([&](const EvictionEvent& e) {
     (e.owner == Mode::User ? user_ev : kernel_ev)++;
   });
   const std::uint64_t sets = (8ull << 10) / kLineSize;

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/env.hpp"
 #include "exp/bench_harness.hpp"
 #include "exp/parallel.hpp"
 #include "service/service.hpp"
@@ -71,22 +72,20 @@ static int tool_main(int argc, char** argv) {
     } else if (a.rfind("--store-dir=", 0) == 0) {
       cfg.store_dir = require_flag_value(a, "--store-dir=", "a path");
     } else if (a.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = static_cast<unsigned>(std::strtoul(
-          require_flag_value(a, "--jobs=", "a count").c_str(), nullptr, 10));
+      cfg.jobs = static_cast<unsigned>(parse_uint(
+          require_flag_value(a, "--jobs=", "a count"), "--jobs", 0, 65536));
     } else if (a.rfind("--poll-ms=", 0) == 0) {
-      cfg.poll_ms = std::strtoull(
-          require_flag_value(a, "--poll-ms=", "an interval").c_str(), nullptr,
-          10);
+      cfg.poll_ms = parse_uint(
+          require_flag_value(a, "--poll-ms=", "an interval"), "--poll-ms");
     } else if (a.rfind("--epoch-ms=", 0) == 0) {
-      cfg.epoch_ms = std::strtoull(
-          require_flag_value(a, "--epoch-ms=", "an interval").c_str(),
-          nullptr, 10);
+      cfg.epoch_ms = parse_uint(
+          require_flag_value(a, "--epoch-ms=", "an interval"), "--epoch-ms");
     } else if (a == "--once") {
       cfg.once = true;
     } else if (a.rfind("--idle-exit-ms=", 0) == 0) {
-      cfg.idle_exit_ms = std::strtoull(
-          require_flag_value(a, "--idle-exit-ms=", "a duration").c_str(),
-          nullptr, 10);
+      cfg.idle_exit_ms = parse_uint(
+          require_flag_value(a, "--idle-exit-ms=", "a duration"),
+          "--idle-exit-ms");
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       return 2;

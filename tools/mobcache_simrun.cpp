@@ -97,7 +97,6 @@
 /// interrupted by SIGINT/SIGTERM (resumable — completed points persisted).
 
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +106,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -210,29 +210,6 @@ std::string require_flag_value(const std::string& a, const char* flag,
     std::exit(2);
   }
   return v;
-}
-
-/// Strict whole-string parse of an unsigned integer in [min, max]: a sign,
-/// trailing junk, overflow or a value out of range is a usage error naming
-/// the expected value (`12abc` silently meaning 12 runs the wrong thing).
-std::uint64_t parse_uint(const std::string& v, const char* what,
-                         std::uint64_t min = 0,
-                         std::uint64_t max = UINT64_MAX) {
-  errno = 0;
-  const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
-      errno != 0 || n < min || n > max) {
-    if (max == UINT64_MAX) {
-      std::fprintf(stderr, "%s must be an integer >= %llu, got '%s'\n", what,
-                   static_cast<unsigned long long>(min), v.c_str());
-    } else {
-      std::fprintf(stderr, "%s must be an integer in [%llu, %llu], got '%s'\n",
-                   what, static_cast<unsigned long long>(min),
-                   static_cast<unsigned long long>(max), v.c_str());
-    }
-    std::exit(2);
-  }
-  return n;
 }
 
 /// Strict whole-string parse of a probability in [0, 1].
